@@ -24,20 +24,29 @@ Package layout:
   state/      checkpoint manifests + per-partition state store
   sinks/      exactly-once parquet sink, debug sinks
   pipelines/  the streaming epoch runner + batch query pipelines
+
+Importing the package (or ``sources.provider``, the relay daemon) loads no
+ray, numpy or pyarrow. The modules that import ``ray`` call
+:func:`register_pickle_by_value` when they are imported, which makes Ray ship
+this package's code to workers by value.
 """
 
 __version__ = "0.1.0"
 
-# Ship this package's UDFs to Ray workers BY VALUE (code embedded in the
-# pickle) instead of by module reference, so pipelines work no matter what
-# sys.path / cwd the worker processes were spawned with. Without this, a
-# driver started outside the repo root fails with
-# ``ModuleNotFoundError: No module named 'dstream_ray'`` inside map_batches.
-try:  # pragma: no cover - best effort; plain import still works without ray
-    import sys as _sys
 
-    from ray import cloudpickle as _cloudpickle
+def register_pickle_by_value() -> None:
+    """Ship this package's UDFs to Ray workers BY VALUE (code embedded in
+    the pickle) instead of by module reference, so pipelines work no matter
+    what sys.path / cwd the worker processes were spawned with. Without it,
+    a driver started outside the repo root fails with
+    ``ModuleNotFoundError: No module named 'dstream_ray'`` inside
+    map_batches.
 
-    _cloudpickle.register_pickle_by_value(_sys.modules[__name__])
-except Exception:  # noqa: BLE001
-    pass
+    Every module that imports ``ray`` calls this at import time, before it
+    can ship work; the package root itself imports no ray, numpy or pyarrow,
+    so the provider relay daemon starts on the standard library alone."""
+    import sys
+
+    from ray import cloudpickle
+
+    cloudpickle.register_pickle_by_value(sys.modules[__name__])

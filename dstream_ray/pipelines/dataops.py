@@ -19,7 +19,10 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from dstream_ray import register_pickle_by_value
 from dstream_ray.stages import ann, dedup, multimodal, text
+
+register_pickle_by_value()
 
 
 def _pool(cap: int = 16) -> tuple[int, int]:

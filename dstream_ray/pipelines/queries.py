@@ -27,6 +27,7 @@ import ray
 import ray.data as rd
 
 from dstream_ray import common as _common
+from dstream_ray import register_pickle_by_value
 
 # shared engine/oracle constants for the bounded-state sample / heavy-hitter
 # operators (both sides configure from the same numbers, so they can't drift)
@@ -47,6 +48,8 @@ from dstream_ray.stages.windows import (
     to_residual_rows,
     tumbling_kernel,
 )
+
+register_pickle_by_value()
 
 # Window parameters sized to the testdata pacing (~10.7 h mean inter-turn
 # gap over a 30-day span): day-scale windows, 12 h session gap.

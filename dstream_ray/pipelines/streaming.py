@@ -40,6 +40,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from dstream_ray import register_pickle_by_value
 from dstream_ray.common import partition_ids
 from dstream_ray.sinks.parquet_sink import ExactlyOnceParquetSink
 from dstream_ray.sinks.registry import create_sink
@@ -85,6 +86,8 @@ from dstream_ray.stages.windows import (
     tumbling_kernel,
 )
 from dstream_ray.state.checkpoint import CheckpointStore
+
+register_pickle_by_value()
 
 # operator registry: name -> (kernel, default params); the user-extension
 # surface (≙ provider protocol, readme.md:297-306) is "add a kernel fn with

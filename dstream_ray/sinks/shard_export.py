@@ -34,7 +34,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from dstream_ray import register_pickle_by_value
 from dstream_ray.common import fnv1a_u64
+
+register_pickle_by_value()
 
 SUCCESS = "_SUCCESS"
 

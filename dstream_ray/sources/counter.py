@@ -11,6 +11,10 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from dstream_ray import register_pickle_by_value
+
+register_pickle_by_value()
+
 
 def counter_source(
     max_count: int = 100,

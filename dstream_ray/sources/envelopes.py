@@ -25,6 +25,42 @@ import json
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.json as pj
+
+# module level, not inside the parse: a Ray worker unpickles this module by
+# value and cannot import dstream_ray when its driver set no PYTHONPATH
+from dstream_ray.common import segmented_cumcount
+
+# Arrow's NDJSON read of an envelope's routing fields. The empty struct
+# captures data's PRESENCE (null when the key is missing) while its inner
+# fields are skipped — an envelope without "data" must quarantine exactly
+# as in the scalar path
+_RAW_PARSE = pj.ParseOptions(
+    explicit_schema=pa.schema(
+        [
+            pa.field("data", pa.struct([])),
+            pa.field(
+                "metadata",
+                pa.struct(
+                    [
+                        ("TableName", pa.string()),
+                        ("LSN", pa.string()),
+                        ("Seq", pa.string()),
+                        ("OperationType", pa.string()),
+                    ]
+                ),
+            ),
+        ]
+    ),
+    unexpected_field_behavior="ignore",
+)
+# isolating a shard's malformed lines: a failed segment is re-read in this
+# many parts (eight re-read fewer bytes than halving does), and one shard may
+# spend this many reads (~40 per malformed line) before the rest of a
+# mostly-malformed shard goes to the scalar parser
+_SPLIT_WAYS = 8
+_MAX_SPLIT_READS = 512
 
 
 def parse_envelope_lines(lines: list[str]) -> pa.Table:
@@ -101,88 +137,88 @@ def parse_envelope_lines(lines: list[str]) -> pa.Table:
     )
 
 
+def _read_metadata(buf: pa.Buffer, offs: np.ndarray) -> tuple[pa.Table, list[int]]:
+    """Arrow-parse the lines of ``buf`` (line ``i`` spans
+    ``offs[i]:offs[i + 1]``). Returns the metadata table of the lines Arrow
+    accepts, in line order, and the indices of the lines it rejects.
+
+    A line whose first byte is not ``{`` is rejected before any read, and
+    the runs of lines between such lines are the segments Arrow reads. So
+    every line of a segment yields at least one row or an error, and a
+    segment whose row count equals its line count has its rows aligned
+    with its lines. A segment whose read fails, or whose row count differs
+    (a line holding two objects), is split into ``_SPLIT_WAYS`` parts and
+    each part re-read, until each rejected line is on its own. A malformed
+    line so costs about one more read of its shard instead of a scalar
+    parse of the whole shard. Once ``_MAX_SPLIT_READS`` reads are spent (a
+    shard of mostly malformed lines), the segments not yet read are
+    rejected whole."""
+    # besides keeping rows aligned, this keeps every non-object line away
+    # from Arrow: pyarrow 16 segfaults on a buffer whose first line is null
+    opens_object = np.frombuffer(buf, dtype=np.uint8)[offs[:-1]] == ord("{")
+    rejected = np.flatnonzero(~opens_object).tolist()
+    edges = np.flatnonzero(np.diff(np.r_[0, opens_object, 0])).tolist()
+    todo = list(zip(edges[::2], edges[1::2]))
+    parts: list[tuple[int, pa.Table]] = []
+    reads = 0
+    while todo:
+        lo, hi = todo.pop()
+        if reads >= _MAX_SPLIT_READS:
+            rejected.extend(range(lo, hi))
+            continue
+        reads += 1
+        seg = buf.slice(offs[lo], offs[hi] - offs[lo])
+        try:
+            tbl = pj.read_json(pa.BufferReader(seg), parse_options=_RAW_PARSE)
+            if tbl.num_rows == hi - lo:
+                parts.append((lo, tbl))
+                continue
+        except pa.ArrowInvalid:
+            pass
+        if hi - lo == 1:
+            rejected.append(lo)
+        else:
+            step = -(-(hi - lo) // _SPLIT_WAYS)
+            todo += [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+    parts.sort(key=lambda part: part[0])
+    tables = [tbl for _, tbl in parts] or [_RAW_PARSE.explicit_schema.empty_table()]
+    return pa.concat_tables(tables), sorted(rejected)
+
+
 def parse_envelope_bytes_raw(raw: bytes) -> pa.Table:
     """Vectorized envelope parse with RAW-LINE payload fidelity — the
     reference's actual relay semantics (bytes pass through untouched;
     providers.go relays lines verbatim, it never re-serializes).
 
-    The metadata fields are parsed by Arrow's C++ multithreaded NDJSON
-    reader against an explicit schema (unexpected fields — i.e. the whole
-    ``data`` payload — are skipped, so heterogeneous payload schemas cost
-    nothing); ``text`` is the raw line itself, built zero-copy-ish from the
-    byte buffer; ordering/turn/ts assignment is the same (TableName,
-    (LSN, Seq)) contract as :func:`parse_envelope_lines`, fully numpy.
-    Falls back to the scalar path (with raw payloads) if any line is not
-    valid JSON — the quarantine contract is preserved either way."""
-    import pyarrow.compute as pc
-    import pyarrow.json as pj
-
-    from dstream_ray.common import segmented_cumcount
-
+    The metadata fields are parsed by Arrow's C++ NDJSON reader against an
+    explicit schema (unexpected fields — i.e. the whole ``data`` payload —
+    are skipped, so heterogeneous payload schemas cost nothing); ``text`` is
+    the raw line itself, built from the byte buffer; ordering/turn/ts
+    assignment is the same (TableName, (LSN, Seq)) contract as
+    :func:`parse_envelope_lines`, fully numpy, over the whole shard.
+    Lines that do not open an object are set aside before any read, lines
+    Arrow rejects (malformed JSON) are isolated by re-reading ever smaller
+    segments (:func:`_read_metadata`), and only these lines
+    go through the scalar parser, so the quarantine contract holds without a
+    per-line Python pass over the shard."""
     if not raw:
         return parse_envelope_lines([])
-    schema = pa.schema(
-        [
-            # the empty struct captures data's PRESENCE (null when the key
-            # is missing) while its inner fields are skipped — an envelope
-            # without "data" must quarantine exactly as in the scalar path
-            pa.field("data", pa.struct([])),
-            pa.field(
-                "metadata",
-                pa.struct(
-                    [
-                        ("TableName", pa.string()),
-                        ("LSN", pa.string()),
-                        ("Seq", pa.string()),
-                        ("OperationType", pa.string()),
-                    ]
-                ),
-            ),
-        ]
-    )
-    try:
-        tbl = pj.read_json(
-            pa.BufferReader(raw),
-            parse_options=pj.ParseOptions(
-                explicit_schema=schema, unexpected_field_behavior="ignore"
-            ),
-        )
-    except pa.ArrowInvalid:
-        # malformed line(s): scalar fallback, raw payload semantics.
-        # split on \n ONLY — str.splitlines() would also break on
-        # U+2028/U+2029/U+0085, which are legal unescaped inside JSON
-        # strings and must not fragment a valid line.
-        lines = raw.decode("utf-8", errors="replace").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        slow = parse_envelope_lines(lines)
-        idx = slow.column_names.index("text")
-        return slow.set_column(idx, "text", pa.array(lines, type=pa.string()))
-
     # raw line strings sharing the input buffer (offsets exclude each '\n')
     data = np.frombuffer(raw, dtype=np.uint8)
     nl = np.flatnonzero(data == 10)
-    terminated = len(raw) and raw[-1:] == b"\n"
+    terminated = raw[-1:] == b"\n"
     ends = nl if terminated else np.r_[nl, len(raw)]
     n_lines = len(ends)
     offs = np.zeros(n_lines + 1, dtype=np.int64)
     offs[1:] = ends + 1 if terminated else np.r_[nl + 1, len(raw)]
     data2 = np.delete(data, nl)
     offs2 = (offs - np.searchsorted(nl, offs, side="left")).astype(np.int64)
-    lines_arr = pa.LargeStringArray.from_buffers(
+    text = pa.LargeStringArray.from_buffers(
         n_lines, pa.py_buffer(offs2.tobytes()), pa.py_buffer(data2.tobytes())
     ).cast(pa.string())
-    if n_lines != tbl.num_rows:
-        # blank lines or reader/line-count drift: take the scalar fallback
-        lines = [str(x) for x in lines_arr.to_pylist()]
-        slow = parse_envelope_lines([l for l in lines if l.strip()])
-        keep = [l for l in lines if l.strip()]
-        idx = slow.column_names.index("text")
-        return slow.set_column(idx, "text", pa.array(keep, type=pa.string()))
 
-    meta = tbl["metadata"]
-    if isinstance(meta, pa.ChunkedArray):
-        meta = meta.combine_chunks()
+    tbl, bad = _read_metadata(pa.py_buffer(raw), offs)
+    meta = tbl["metadata"].combine_chunks()
     tn = pc.struct_field(meta, "TableName")
     key = pc.binary_join_element_wise(
         pc.utf8_lpad(pc.fill_null(pc.struct_field(meta, "LSN"), ""), 32, "0"),
@@ -190,13 +226,45 @@ def parse_envelope_bytes_raw(raw: bytes) -> pa.Table:
         "|",
     )
     op = pc.fill_null(pc.struct_field(meta, "OperationType"), "")
-    data_col = tbl["data"]
-    if isinstance(data_col, pa.ChunkedArray):
-        data_col = data_col.combine_chunks()
     # valid ⇔ BOTH keys present, matching the scalar parser's KeyError path
-    valid = pc.and_(pc.is_valid(tn), pc.is_valid(data_col))
+    valid = pc.and_(pc.is_valid(tn), pc.is_valid(tbl["data"].combine_chunks()))
+    if bad:
+        # rejected lines: scalar parse, spliced back in line order. split on
+        # \n ONLY — str.splitlines() would also break on U+2028/U+2029/U+0085,
+        # which are legal unescaped inside JSON strings and must not
+        # fragment a valid line. Blank lines are dropped, as the scalar
+        # parser drops them.
+        lines = [
+            raw[offs[i] : offs[i + 1]].removesuffix(b"\n").decode("utf-8", errors="replace")
+            for i in bad
+        ]
+        slow = parse_envelope_lines(lines)
+        bad = np.asarray(bad)
+        blank = bad[[not line.strip() for line in lines]]
+        # output row i takes entry src[i] of [Arrow-parsed rows, scalar rows]
+        src = np.empty(n_lines, dtype=np.int64)
+        ok = np.ones(n_lines, dtype=bool)
+        ok[bad] = False
+        src[ok] = np.arange(n_lines - len(bad))
+        src[np.setdiff1d(bad, blank)] = n_lines - len(bad) + np.arange(slow.num_rows)
+        rows = pa.array(np.delete(src, blank))
+        tn, key, op, valid = (
+            pa.concat_arrays([fast, scalar.combine_chunks()]).take(rows)
+            for fast, scalar in [
+                (tn, slow["conv_id"]),
+                (key, slow["cdc_key"]),
+                (op, slow["tool"]),
+                (valid, pc.is_valid(slow["conv_id"])),
+            ]
+        )
+        text_src = np.arange(n_lines)
+        text_src[bad] = n_lines + np.arange(len(bad))
+        text = pa.concat_arrays([text, pa.array(lines, type=pa.string())]).take(
+            pa.array(np.delete(text_src, blank))
+        )
+
     valid_np = valid.to_numpy(zero_copy_only=False)
-    n = n_lines
+    n = len(valid_np)
     turn = np.zeros(n, dtype=np.int32)
     ts = np.zeros(n, dtype=np.int64)
     vpos = np.flatnonzero(valid_np)
@@ -218,10 +286,12 @@ def parse_envelope_bytes_raw(raw: bytes) -> pa.Table:
         ) * 1_000_000
     return pa.table(
         {
-            "conv_id": tn,
+            # null where invalid, like the scalar parser: the quarantine
+            # filter keys on a null conv_id
+            "conv_id": pc.if_else(valid, tn, pa.scalar(None, pa.string())),
             "turn_idx": pa.array(turn),
             "role": pc.if_else(valid, "change", "invalid"),
-            "text": lines_arr,
+            "text": text,
             "tool": pc.if_else(valid, op, ""),
             "ts": pa.array(ts).cast(pa.timestamp("us")),
             "cdc_key": pc.if_else(valid, key, ""),

@@ -29,10 +29,9 @@ import threading
 import time
 from collections import deque
 
-import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
-
+# numpy and pyarrow are imported only on the parquet path: the ndjson byte
+# relay runs on the standard library alone, so the daemon starts in
+# milliseconds
 STDERR_TAIL_LINES = 10
 
 
@@ -88,7 +87,13 @@ class ProviderProcess:
                 self.proc.stdin.close()
         except (BrokenPipeError, OSError):
             pass  # the handshake below reports crash-with-stderr context
-        self._wait_for_ready(ready_timeout_s)
+        try:
+            self._wait_for_ready(ready_timeout_s)
+        except BaseException:
+            # a failed handshake, or a signal that interrupted it, must not
+            # leave the child running
+            self.stop()
+            raise
 
     # -- handshake ----------------------------------------------------------
     def _drain_stderr(self) -> None:
@@ -237,6 +242,9 @@ class EnvelopeBridge:
         self.clock_us = start_us
 
     def to_table(self, lines: list[str]) -> pa.Table:
+        import numpy as np
+        import pyarrow as pa
+
         recs = []
         for line in lines:
             line = line.strip()
@@ -344,6 +352,8 @@ def provider_to_feed(
         provider.check_stream_ok()
         return written
 
+    import pyarrow.parquet as pq
+
     bridge = EnvelopeBridge()
     buf: list[str] = []
 
@@ -391,15 +401,26 @@ def main(argv=None):  # pragma: no cover - CLI drive path
                    help="provider argv (prefix with --)")
     a = p.parse_args(argv)
     cmd = a.command[1:] if a.command[:1] == ["--"] else a.command
+
+    def terminate(signum, _frame):
+        raise SystemExit(128 + signum)
+
+    # SIGTERM unwinds through the finally below, which stops the provider
+    # (SIGTERM, grace, SIGKILL) instead of orphaning it
+    signal.signal(signal.SIGTERM, terminate)
     prov = ProviderProcess(cmd, config={}, ready_timeout_s=a.ready_timeout)
-    shards = provider_to_feed(
-        prov,
-        a.feed_dir,
-        rows_per_shard=a.rows_per_shard,
-        fmt=a.fmt,
-        shard_prefix=a.shard_prefix,
-        max_shards=a.max_shards,
-    )
+    try:
+        shards = provider_to_feed(
+            prov,
+            a.feed_dir,
+            rows_per_shard=a.rows_per_shard,
+            fmt=a.fmt,
+            shard_prefix=a.shard_prefix,
+            max_shards=a.max_shards,
+        )
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        prov.stop()
     print(json.dumps({"shards": len(shards)}))
 
 

@@ -30,7 +30,10 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from dstream_ray import register_pickle_by_value
 from dstream_ray.common import segmented_cumcount
+
+register_pickle_by_value()
 
 TRANSCRIPT_SCHEMA = pa.schema(
     [

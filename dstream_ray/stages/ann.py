@@ -17,6 +17,10 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from dstream_ray import register_pickle_by_value
+
+register_pickle_by_value()
+
 
 def _stack(batch_col) -> np.ndarray:
     """list<float> arrow column -> (n, d) float64 matrix without pandas."""

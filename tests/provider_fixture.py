@@ -42,11 +42,19 @@ def main() -> None:
         print(json.dumps({"data": {"value": 1}, "metadata": {"TableName": "legacy", "OperationType": "insert"}}))
         sys.exit(0)
 
+    if behavior == "ignore_sigterm":
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+
     # behaviors below handshake first
     envelope = json.loads(sys.stdin.readline() or "{}")
     config = envelope.get("config", {})
     print(json.dumps({"status": "ready"}), flush=True)
     print("[provider] started successfully", file=sys.stderr)
+
+    if behavior == "ignore_sigterm":
+        # will not exit on SIGTERM (ignored since before the handshake, so
+        # a stop cannot race it): only SIGKILL stops it
+        time.sleep(600)
 
     if behavior == "ready_then_crash":
         print(json.dumps({"data": {"value": 0}, "metadata": {"TableName": "t", "OperationType": "insert"}}), flush=True)

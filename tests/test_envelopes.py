@@ -202,6 +202,39 @@ def test_raw_payload_parse_matches_canonical_routing():
     for col in ["conv_id", "turn_idx", "role", "tool", "ts", "cdc_key"]:
         assert fast[col].tolist() == slow[col].tolist(), col
     assert fast["text"].tolist() == lines  # raw byte fidelity
+
+    # malformed lines are isolated from the shard and only they take the
+    # scalar path: every routing column still equals the per-line scalar
+    # parse, and text keeps each line's raw bytes
+    def truncate(at):
+        out = list(lines)
+        for i in at:
+            out[i] = out[i][: len(out[i]) // 2]
+        return out
+
+    malformed = {
+        "first": truncate([0]),
+        "middle": truncate([25]),
+        "last": truncate([len(lines) - 1]),
+        "adjacent": truncate([10, 11]),
+        "non_object": lines[:30] + ["[1, 2, 3]"] + lines[30:],
+        "null_first": ["null"] + lines,
+        "null_middle": lines[:30] + ["null"] + lines[30:],
+        # Arrow reads two rows from the two-object line and none from the
+        # blank one: equal counts must not pass as aligned rows
+        "two_objects_and_blank": (
+            truncate([40])[:10] + [lines[10] + " " + lines[11], ""] + truncate([40])[12:]
+        ),
+        # a blank line is dropped, as the scalar parser drops it
+        "blank_line": truncate([5])[:20] + [""] + truncate([5])[20:],
+    }
+    for name, bad in malformed.items():
+        fast = parse_envelope_bytes_raw(("\n".join(bad) + "\n").encode()).to_pandas()
+        slow = parse_envelope_lines(bad).to_pandas()
+        for col in ["conv_id", "turn_idx", "role", "tool", "ts", "cdc_key"]:
+            assert fast[col].tolist() == slow[col].tolist(), (name, col)
+        assert fast["text"].tolist() == [l for l in bad if l], name
+
     # unterminated final line + malformed JSON fallback
     raw2 = raw + b'{"not json'
     fb = parse_envelope_bytes_raw(raw2).to_pandas()
@@ -261,6 +294,31 @@ def test_raw_parse_quarantines_missing_data_key():
     assert fast["role"].tolist() == slow["role"].tolist() == [
         "change", "invalid", "invalid", "change"]
     assert fast["turn_idx"].tolist() == slow["turn_idx"].tolist()
+    # a null conv_id is what routes a row to quarantine
+    assert fast["conv_id"].tolist() == slow["conv_id"].tolist() == [
+        "t1", None, None, "t1"]
+
+
+def test_raw_envelope_without_data_lands_in_quarantine(ray_session, tmp_path):
+    """Engine level: in raw mode an envelope without 'data' is quarantined,
+    not silently dropped by the relay."""
+    no_data = '{"metadata":{"TableName":"t1","LSN":"02","Seq":"0"}}'
+    lines = [
+        '{"data":{"v":1},"metadata":{"TableName":"t1","LSN":"01","Seq":"0"}}',
+        no_data,
+        '{"data":{"v":3},"metadata":{"TableName":"t1","LSN":"04","Seq":"0"}}',
+    ]
+    feed = tmp_path / "feed"
+    feed.mkdir()
+    (feed / "s-00.ndjson").write_text("\n".join(lines) + "\n")
+    job = StreamingJob(StreamingConfig(
+        feed_dir=str(feed), out_dir=str(tmp_path / "out"),
+        num_partitions=2, files_per_epoch=1, operators={},
+        envelope_payload="raw",
+    ))
+    job.run()
+    assert job.sink.read_op("events").num_rows == 2
+    assert job.sink.read_op("quarantine")["text"].to_pylist() == [no_data]
 
 
 def test_raw_fallback_preserves_u2028_lines():

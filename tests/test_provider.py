@@ -4,7 +4,10 @@ engine (readme.md:16-51)."""
 
 import json
 import os
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -80,6 +83,76 @@ def test_sigterm_graceful_stop():
     # provider is mid-emission; SIGTERM must stop it within the grace window
     rc = p.stop(grace_s=5.0)
     assert rc is not None
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_relay_daemon_imports_only_the_standard_library():
+    """The relay daemon moves bytes; it must not pay for importing Ray,
+    pandas, numpy or pyarrow before it relays its first line."""
+    heavy = ("ray", "ray.data", "pandas", "numpy", "pyarrow")
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; import dstream_ray.sources.provider; "
+         f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"],
+        cwd=REPO, capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert json.loads(r.stdout) == []
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_stop_kills_provider_that_ignores_sigterm():
+    """stop() sends SIGTERM, waits out the grace period, then SIGKILLs a
+    provider that is still running (providers.go:440-487)."""
+    p = spawn("ignore_sigterm")
+    t0 = time.monotonic()
+    rc = p.stop(grace_s=1.0)
+    assert time.monotonic() - t0 >= 1.0
+    assert rc == -signal.SIGKILL
+    assert not _alive(p.proc.pid)
+
+
+def test_relay_daemon_sigterm_stops_its_provider(tmp_path):
+    """SIGTERM to the relay daemon stops its provider through
+    ProviderProcess.stop instead of orphaning it."""
+    pidfile = tmp_path / "provider.pid"
+    cmd = ["sh", "-c", f"echo $$ > {pidfile}; echo '{{\"status\":\"ready\"}}'; "
+           "exec sleep 600"]
+    relay = subprocess.Popen(
+        [sys.executable, "-m", "dstream_ray.sources.provider",
+         "--feed-dir", str(tmp_path / "feed"), "--", *cmd],
+        cwd=REPO, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    pid = None
+    try:
+        deadline = time.time() + 30
+        while pid is None and time.time() < deadline:
+            if pidfile.exists() and pidfile.read_text().strip():
+                pid = int(pidfile.read_text())
+            else:
+                time.sleep(0.05)
+        assert pid is not None and _alive(pid)
+        relay.send_signal(signal.SIGTERM)
+        rc = relay.wait(timeout=10)
+        # sleep exits on the forwarded SIGTERM, well inside the grace period
+        assert not _alive(pid), "the relay left its provider running"
+        assert rc == 128 + signal.SIGTERM, relay.stderr.read()[-2000:]
+    finally:
+        if relay.poll() is None:
+            relay.kill()
+            relay.wait()
+        if pid is not None and _alive(pid):
+            os.kill(pid, signal.SIGKILL)
+        relay.stderr.close()
 
 
 def test_payload_fidelity_through_bridge():

@@ -732,26 +732,39 @@ def test_feed_schema_evolution_tolerated_missing_columns_loud(ray_session, tmp_p
         job2.run()
 
 
-def test_engine_runs_from_non_repo_cwd_without_pythonpath(tmp_path):
+@pytest.mark.parametrize("feed_kind", ["parquet", "ndjson"])
+def test_engine_runs_from_non_repo_cwd_without_pythonpath(tmp_path, feed_kind):
     """Workers must unpickle every task UDF via the package's cloudpickle
     by-value registration alone — a runtime `import dstream_ray...` inside
     a remote task body breaks drivers whose cwd is not the repo (the
-    driver's own call pattern). Regression: the feed-contract check once
-    imported TRANSCRIPT_SCHEMA inside _split_task."""
+    driver's own call pattern). Regressions: the feed-contract check once
+    imported TRANSCRIPT_SCHEMA inside _split_task, and the raw envelope
+    parse imported dstream_ray.common inside the split task."""
+    import json as _json
     import subprocess
     import sys as _sys
 
     feed = tmp_path / "feed"
-    generate_transcripts(n_convs=4, mean_turns=5, seed=6,
-                         out_path=str(feed), n_shards=1)
+    if feed_kind == "parquet":
+        generate_transcripts(n_convs=4, mean_turns=5, seed=6,
+                             out_path=str(feed), n_shards=1)
+    else:
+        feed.mkdir()
+        lines = [_json.dumps({"data": {"v": i}, "metadata": {
+            "TableName": f"t{i % 3}", "LSN": f"{i:08x}", "Seq": "0",
+            "OperationType": "insert"}}) for i in range(30)]
+        lines.insert(7, lines[7][:20])  # one malformed line: the scalar path runs too
+        (feed / "s-00.ndjson").write_text("\n".join(lines) + "\n")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = f"""
-import sys; sys.path.insert(0, "/root/repo")
+import sys; sys.path.insert(0, {repo!r})
 import ray
 ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
 import ray.data; ray.data.DataContext.get_current().enable_progress_bars = False
 from dstream_ray.pipelines.streaming import StreamingConfig, StreamingJob
 job = StreamingJob(StreamingConfig(feed_dir={str(feed)!r}, out_dir={str(tmp_path / 'out')!r},
-                                   num_partitions=2, files_per_epoch=1))
+                                   num_partitions=2, files_per_epoch=1,
+                                   envelope_payload="raw"))
 st = job.run()
 print("ROWS", job.sink.read_op("events").num_rows)
 ray.shutdown()
