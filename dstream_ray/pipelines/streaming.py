@@ -433,7 +433,9 @@ def _split_task(path: str, num_partitions: int, envelope_payload: str = "canonic
         # empty shard (producer rotation with no traffic): P empty slices
         return tuple([t.slice(0, 0)] * num_partitions)
     pid = partition_ids(t["conv_id"], num_partitions)
-    order = np.argsort(pid, kind="stable")
+    # the narrowest dtype that holds every id gets numpy's radix sort for
+    # 8/16-bit keys; a stable sort of equal keys is the same permutation
+    order = np.argsort(pid.astype(np.min_scalar_type(num_partitions - 1)), kind="stable")
     t2 = t.take(pa.array(order))
     pid_s = pid[order]
     starts = np.flatnonzero(np.r_[True, pid_s[1:] != pid_s[:-1]])
@@ -830,7 +832,8 @@ class StreamingJob:
 
         Requires the target epoch's keyed-state snapshot to still be on disk
         (``StreamingConfig.state_keep_last``; default 2 keeps only the last
-        two — raise it or set None before the run for deeper rewinds).
+        two — raise it or set None before the run for deeper rewinds), and
+        refuses a target below any registered consumer's cursor.
 
         Un-commits every epoch after the target, newest first, then sweeps
         the sink tree of every file whose name carries a newer epoch
@@ -882,6 +885,22 @@ class StreamingJob:
                     f"range(s) {blocking}; compact() merges epochs — rewind "
                     "only to an epoch >= every compact range's upper bound, "
                     "or compact only after the rewind horizon you need"
+                )
+            # a follower past the target has already delivered rows of the
+            # epochs a rewind would replay; its cursor cannot move back, so
+            # the replayed epochs would be skipped — refuse before destroying
+            ahead = [
+                f"consumer '{name}' on op '{op}' at cursor {cur}"
+                for name, ops in self.sink.consumers().items()
+                for op, cur in sorted(ops.items())
+                if cur > to_epoch
+            ]
+            if ahead:
+                raise ValueError(
+                    f"rewind: target epoch {to_epoch} is below registered "
+                    f"consumer cursor(s): {'; '.join(ahead)} — those rows are "
+                    "already delivered and the replay would be skipped; rewind "
+                    "only to an epoch >= every consumer cursor"
                 )
             undone = [e for e in epochs if e > to_epoch]
             for e in sorted(undone, reverse=True):

@@ -26,12 +26,45 @@ import re
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from dstream_ray.state.checkpoint import fsync_dir
+from dstream_ray.state.checkpoint import fsync_dir, publish_durably, stage_durably
 
 # sink-file naming contract: epoch files carry ONE epoch; compact files
 # carry the inclusive epoch range they replaced (see compact_dir)
 _EPOCH_RE = re.compile(r"^epoch-(\d+)-wm-(-?\d+)\.parquet$")
 _COMPACT_RE = re.compile(r"^compact-(\d+)-(\d+)-wm-(-?\d+)\.parquet$")
+
+
+def write_parquet(table: pa.Table, path: str) -> None:
+    """The one Parquet writer of the sink (staged epoch files and compact
+    files). Encodings follow the column type, never the workload:
+
+    - integers and timestamps are ``DELTA_BINARY_PACKED``: sink files are
+      clustered by key and ordered by time within a key, so deltas are
+      small, while a dictionary over near-unique values (``events.ts``)
+      only falls back to 8-byte PLAIN after paying for the attempt;
+    - strings get a dictionary, capped at 64 KiB a page so high-cardinality
+      text (raw envelope payloads) falls back to PLAIN early;
+    - no column statistics: the file name carries the epoch range and the
+      watermark, and no reader prunes by row-group min/max.
+
+    The settings are fixed, so equal tables give byte-identical files,
+    which replay's same-bytes-same-name overwrite relies on."""
+    schema = table.schema
+    pq.write_table(
+        table,
+        path,
+        compression="snappy",
+        use_dictionary=[
+            f.name for f in schema
+            if pa.types.is_string(f.type) or pa.types.is_large_string(f.type)
+        ],
+        column_encoding={
+            f.name: "DELTA_BINARY_PACKED" for f in schema
+            if pa.types.is_integer(f.type) or pa.types.is_timestamp(f.type)
+        },
+        dictionary_pagesize_limit=64 << 10,
+        write_statistics=False,
+    )
 
 
 def parse_epoch_range(fname: str) -> tuple[int, int, int] | None:
@@ -86,6 +119,10 @@ def live_files(paths: list[str]) -> list[str]:
 
 
 class ExactlyOnceParquetSink:
+    # file suffix and table -> file encoder; the ndjson debug sink swaps both
+    suffix = ".parquet"
+    encode = staticmethod(write_parquet)
+
     def __init__(self, root: str):
         self.root = root
 
@@ -102,7 +139,7 @@ class ExactlyOnceParquetSink:
             self.root,
             op,
             f"partition={partition:04d}",
-            f"epoch-{epoch:06d}-wm-{watermark_us}.parquet",
+            f"epoch-{epoch:06d}-wm-{watermark_us}{self.suffix}",
         )
 
     def write_staged(
@@ -112,16 +149,7 @@ class ExactlyOnceParquetSink:
         occupy after :meth:`promote`. Safe to re-run (overwrites the stage)."""
         final = self.file_path(op, partition, epoch, watermark_us)
         os.makedirs(os.path.dirname(final), exist_ok=True)
-        tmp = final + ".tmp"
-        pq.write_table(table, tmp)
-        # fsync the staged bytes: the manifest commit is fsynced, so a
-        # power loss must not leave a committed manifest referencing a
-        # truncated sink file (durability parity with the checkpoint store)
-        fd = os.open(tmp, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        stage_durably(final, lambda tmp: self.encode(table, tmp))
         return final
 
     @staticmethod
@@ -158,11 +186,9 @@ class ExactlyOnceParquetSink:
     def _consumer_dir(self) -> str:
         return os.path.join(self.root, "_consumers")
 
-    def consumer_cursors(self, op: str) -> dict:
-        """name -> highest epoch fully consumed for ``op`` (registered
-        followers only). Compaction consults these so it never merges
-        ACROSS a consumer's cursor — a range file straddling a cursor
-        would force the consumer to re-read rows it already drained."""
+    def consumers(self) -> dict[str, dict[str, int]]:
+        """Every registered follower: name -> {op: highest epoch fully
+        consumed}."""
         out = {}
         cdir = self._consumer_dir()
         if not os.path.isdir(cdir):
@@ -174,12 +200,17 @@ class ExactlyOnceParquetSink:
                 continue
             try:
                 with open(os.path.join(cdir, f)) as fh:
-                    data = json.load(fh)
+                    out[f[:-5]] = {k: int(v) for k, v in json.load(fh).items()}
             except (OSError, ValueError):
                 continue
-            if op in data:
-                out[f[:-5]] = int(data[op])
         return out
+
+    def consumer_cursors(self, op: str) -> dict:
+        """name -> highest epoch fully consumed for ``op`` (registered
+        followers only). Compaction consults these so it never merges
+        ACROSS a consumer's cursor — a range file straddling a cursor
+        would force the consumer to re-read rows it already drained."""
+        return {name: ops[op] for name, ops in self.consumers().items() if op in ops}
 
     def compact_dir(self, dirpath: str, boundaries: tuple = ()) -> dict | None:
         """Merge one ``<op>/partition=K`` directory's committed files into a
@@ -245,15 +276,7 @@ class ExactlyOnceParquetSink:
             merged = pa.concat_tables([pq.read_table(p) for _, p in parsed])
             final = os.path.join(
                 dirpath, f"compact-{lo:06d}-{hi:06d}-wm-{wm}.parquet")
-            tmp = final + ".tmp"
-            pq.write_table(merged, tmp)
-            fd = os.open(tmp, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            os.replace(tmp, final)
-            fsync_dir(dirpath)
+            publish_durably(final, lambda tmp: write_parquet(merged, tmp))
             for _, p in parsed:  # inputs are dead (contained) from here on
                 os.remove(p)
             fsync_dir(dirpath)
@@ -327,13 +350,12 @@ class SinkFollower:
         data = self._load()
         data[self.op] = self.cursor
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(data))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        fsync_dir(os.path.dirname(self.path))
+
+        def write(tmp: str) -> None:
+            with open(tmp, "w") as fh:
+                fh.write(json.dumps(data))
+
+        publish_durably(self.path, write)
 
     def poll(self) -> pa.Table | None:
         """Rows committed since the last poll (None if nothing new)."""

@@ -7,7 +7,6 @@ message (the reference does exactly this for azure_blob/aws_s3/sql/mongodb).
 from __future__ import annotations
 
 import json
-import os
 
 import pyarrow as pa
 
@@ -16,23 +15,15 @@ from dstream_ray.sinks.parquet_sink import ExactlyOnceParquetSink
 
 class NdjsonSink(ExactlyOnceParquetSink):
     """Debug sink: newline-delimited JSON files with the same two-phase
-    (stage → promote) commit as the parquet sink."""
+    (durable stage → promote) commit as the parquet sink."""
 
-    def file_path(self, op, partition, epoch, watermark_us):
-        return os.path.join(
-            self.root,
-            op,
-            f"partition={partition:04d}",
-            f"epoch-{epoch:06d}-wm-{watermark_us}.ndjson",
-        )
+    suffix = ".ndjson"
 
-    def write_staged(self, table: pa.Table, op, partition, epoch, watermark_us):
-        final = self.file_path(op, partition, epoch, watermark_us)
-        os.makedirs(os.path.dirname(final), exist_ok=True)
-        with open(final + ".tmp", "w") as fh:
+    @staticmethod
+    def encode(table: pa.Table, path: str) -> None:
+        with open(path, "w") as fh:
             for row in table.to_pylist():
                 fh.write(json.dumps(row, default=str) + "\n")
-        return final
 
 
 class ConsoleSink(ExactlyOnceParquetSink):

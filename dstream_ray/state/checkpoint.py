@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
-from typing import Any
+from typing import Any, Callable
 
 
 def fsync_dir(path: str) -> None:
@@ -36,6 +36,30 @@ def fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def stage_durably(path: str, write: Callable[[str], None]) -> str:
+    """Write the stage ``path + ".tmp"`` with ``write(tmp)`` and fsync it;
+    returns the stage path. Every durable file (sink file, manifest, state
+    snapshot, consumer cursor) is staged here: the manifest commit is
+    fsynced, so a power loss must never leave a committed manifest naming
+    a truncated file (publish-then-advance has to hold for system crashes,
+    not just process crashes)."""
+    tmp = path + ".tmp"
+    write(tmp)
+    fd = os.open(tmp, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    return tmp
+
+
+def publish_durably(path: str, write: Callable[[str], None]) -> None:
+    """:func:`stage_durably`, then atomically rename the stage over ``path``
+    and fsync the directory so the rename survives power loss."""
+    os.replace(stage_durably(path, write), path)
+    fsync_dir(os.path.dirname(path))
 
 
 class CheckpointStore:
@@ -81,14 +105,12 @@ class CheckpointStore:
     def commit(self, epoch: int, manifest: dict[str, Any]) -> None:
         """Atomic publish of the epoch manifest (write tmp, fsync, rename)."""
         self.init()
-        path = self._commit_path(epoch)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=1, default=str)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(os.path.dirname(path))
+
+        def write(tmp: str) -> None:
+            with open(tmp, "w") as fh:
+                json.dump(manifest, fh, indent=1, default=str)
+
+        publish_durably(self._commit_path(epoch), write)
 
     def manifest(self, epoch: int) -> dict[str, Any]:
         with open(self._commit_path(epoch)) as fh:
@@ -121,17 +143,12 @@ class CheckpointStore:
     def save_state(self, epoch: int, partition: int, state: dict) -> str:
         path = self.state_path(epoch, partition)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            # fsync BEFORE rename: the manifest commit is fsynced, so without
-            # this a power loss could leave a durably-committed manifest
-            # pointing at a truncated state pickle (publish-then-advance must
-            # hold for system crashes, not just process crashes)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(os.path.dirname(path))
+
+        def write(tmp: str) -> None:
+            with open(tmp, "wb") as fh:
+                pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+        publish_durably(path, write)
         return path
 
     def load_state(self, path: str | None) -> dict:

@@ -120,3 +120,35 @@ def test_rewind_refused_while_lease_held(ray_session, tmp_path, feed):
             job.rewind(0)
     finally:
         lock.release()
+
+
+def test_rewind_below_consumer_cursor_refused(ray_session, tmp_path, feed):
+    """A follower that drained epoch 2 cannot see a replay of epochs <= 2:
+    its cursor only moves forward. rewind() below it must refuse before
+    destroying anything; rewinding to the cursor itself stays fine."""
+    import pyarrow as pa
+
+    from dstream_ray.sinks.parquet_sink import SinkFollower
+
+    job = StreamingJob(_cfg(feed, tmp_path / "out"))
+    job.run(max_epochs=3, flush_at_end=False)
+    f = SinkFollower(job.sink, "events", "drainer")
+    first = f.poll()
+    assert f.cursor == 2
+    before = _sink_snapshot(job)
+    with pytest.raises(ValueError, match="consumer 'drainer' on op 'events' "
+                                         "at cursor 2") as e:
+        job.rewind(0)
+    assert "target epoch 0" in str(e.value)
+    assert job.store.committed_epochs() == [0, 1, 2]
+    assert _sink_snapshot(job) == before
+
+    job.run()  # remaining epochs + flush
+    full = _sink_snapshot(job)
+    out = job.rewind(2)
+    assert out["epochs_undone"] >= 1
+    job.run()  # replay above the cursor: the follower sees it exactly once
+    second = f.poll()
+    assert _sink_snapshot(job) == full
+    union = pa.concat_tables([first, second])
+    assert sorted(map(tuple, zip(*[c.to_pylist() for c in union.columns]))) == full["events"]
