@@ -27,9 +27,11 @@ node can reach. The only all-to-all exchange per epoch is the single
 
 from __future__ import annotations
 
+import ctypes
 import glob
 import json
 import os
+import select
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -388,6 +390,36 @@ def _empty_feed_table() -> pa.Table:
     )
 
 
+def _conform_feed(t: pa.Table, shard: str) -> pa.Table:
+    """Normalize a parquet shard to the transcript contract.
+
+    Producer schema EVOLUTION is tolerated: extra metadata columns are
+    dropped and column order is made canonical (per-epoch sink files must
+    share one schema for readers to concat). Type DRIFT is cast back when the
+    cast is lossless (``safe=True``), e.g. pandas' default ``timestamp[ns]``
+    for ``ts``. A shard MISSING contract columns, or one whose column does
+    not cast safely, fails loudly naming the shard."""
+    missing = [c for c in _FEED_COLUMNS if c not in t.column_names]
+    if missing:
+        raise ValueError(
+            f"feed shard {shard} is missing transcript contract columns "
+            f"{missing} (have {t.column_names})"
+        )
+    t = t.select(list(_FEED_COLUMNS))
+    for i, want in enumerate(_FEED_SCHEMA):
+        got = t.schema.field(i).type
+        if got != want.type:
+            try:
+                col = t.column(i).cast(want.type, safe=True)
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as e:
+                raise ValueError(
+                    f"feed shard {shard} column {want.name!r} has type {got}, "
+                    f"expected {want.type}, and does not cast safely: {e}"
+                ) from None
+            t = t.set_column(i, want.name, col)
+    return t
+
+
 # --- explicit hash exchange (the epoch's single shuffle) -------------------
 #
 # Why raw Ray tasks and not Dataset.groupby here: the streaming epoch needs
@@ -414,21 +446,8 @@ def _split_task(path: str, num_partitions: int, envelope_payload: str = "canonic
         import pyarrow.parquet as pq
 
         t = pq.read_table(path)
-        names = list(_FEED_COLUMNS)
-        if t.column_names != names:
-            # feed contract normalization: tolerate producer schema
-            # EVOLUTION (extra metadata columns are dropped, column order
-            # is canonical — per-epoch sink files must share one schema
-            # for readers to concat) but fail loudly on a shard MISSING
-            # contract columns
-            missing = [c for c in names if c not in t.column_names]
-            if missing:
-                raise ValueError(
-                    f"feed shard {os.path.basename(path)} is missing "
-                    f"transcript contract columns {missing} "
-                    f"(have {t.column_names})"
-                )
-            t = t.select(names)
+        if not t.schema.equals(_FEED_SCHEMA):
+            t = _conform_feed(t, os.path.basename(path))
     if t.num_rows == 0:
         # empty shard (producer rotation with no traffic): P empty slices
         return tuple([t.slice(0, 0)] * num_partitions)
@@ -457,6 +476,64 @@ def _reduce_task(partition, epoch, prev, cfg, flush, *parts):
     parts = [p for p in parts if p.num_rows]
     table = pa.concat_tables(parts) if parts else None
     return process_partition(table, partition, epoch, prev, cfg, flush=flush)
+
+
+# --- feed arrival watch ----------------------------------------------------
+#
+# follow() waits for shards on a Linux inotify watch of the feed directory
+# (≙ the reference's blocking line read of the provider's stdout,
+# providers.go:234-261) instead of sleeping out its backoff interval. A shard
+# renamed in (IN_MOVED_TO) or written in place and closed (IN_CLOSE_WRITE)
+# wakes it; IN_CREATE is not watched, since it would wake a read of a
+# half-written in-place parquet. inotify sees only writes made through this
+# host's kernel, so the backoff interval remains the ceiling on how long any
+# other arrival (a writer on another NFS host) waits.
+_IN_CLOSE_WRITE = 0x08
+_IN_MOVED_TO = 0x80
+
+
+class _FeedWatch:
+    def __init__(self, fd: int):
+        self.fd = fd
+        # poll, not select: a high fd number cannot break it
+        self._poll = select.poll()
+        self._poll.register(fd, select.POLLIN)
+
+    def drain(self) -> None:
+        """Discard queued events without blocking."""
+        try:
+            while os.read(self.fd, 65536):
+                pass
+        except BlockingIOError:
+            pass
+
+    def wait(self, timeout_s: float) -> bool:
+        """Block until an event is queued or ``timeout_s`` passes; True on
+        an event."""
+        return bool(self._poll.poll(timeout_s * 1e3))
+
+    def close(self) -> None:
+        os.close(self.fd)
+
+
+def _feed_watch(feed_dir: str) -> _FeedWatch | None:
+    """An inotify watch on ``feed_dir``, or None where there can be none:
+    a non-Linux host, fd or watch limits, a feed dir that does not exist."""
+    try:
+        libc = ctypes.CDLL(None)
+        init1, add_watch = libc.inotify_init1, libc.inotify_add_watch
+    except (OSError, AttributeError):
+        return None
+    init1.argtypes, init1.restype = [ctypes.c_int], ctypes.c_int
+    add_watch.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.c_uint32]
+    add_watch.restype = ctypes.c_int
+    fd = init1(os.O_NONBLOCK | os.O_CLOEXEC)  # IN_NONBLOCK | IN_CLOEXEC
+    if fd < 0:
+        return None
+    if add_watch(fd, os.fsencode(feed_dir), _IN_MOVED_TO | _IN_CLOSE_WRITE) < 0:
+        os.close(fd)
+        return None
+    return _FeedWatch(fd)
 
 
 class StreamingJob:
@@ -754,33 +831,53 @@ class StreamingJob:
         flush_at_end: bool = True,
     ) -> dict:
         """Tail the feed directory like the CDC poll loop: process new shard
-        files as they appear, doubling the poll interval while idle up to
-        ``max_poll_interval_s`` and resetting on data (≙ the reference's
-        exponential-backoff poller, docs/capability-inventory.md:135).
-        Stops after ``idle_limit_s`` of continuous idleness (None = forever,
-        until externally stopped)."""
+        files as they appear, and return one ``status()`` at the end.
+
+        Between listings it waits on an inotify watch of the feed dir, so a
+        shard renamed in, or written in place and closed, wakes it at once.
+        The wait times out after ``poll_interval_s``, doubling while idle up
+        to ``max_poll_interval_s`` and resetting on data (≙ the reference's
+        exponential-backoff poller, docs/capability-inventory.md:135). The
+        watch sees local writes only: a feed on shared storage written from
+        another host is found at the next timeout, so keep
+        ``max_poll_interval_s`` low there. Where inotify is unavailable the
+        wait is a plain sleep. Stops after ``idle_limit_s`` of continuous
+        idleness (None = forever, until externally stopped)."""
         self.init()
         interval = poll_interval_s
         idle_since = None
-        while True:
-            pending = self._pending_files()
-            if pending:
-                self.run(flush_at_end=False)
-                interval = poll_interval_s  # reset backoff on data
-                idle_since = None
-                continue
-            now = time.time()
-            idle_since = idle_since or now
-            if idle_limit_s is not None and now - idle_since >= idle_limit_s:
-                break
-            time.sleep(interval)
-            interval = min(interval * 2, max_poll_interval_s)
+        watch = _feed_watch(self.cfg.feed_dir)
+        try:
+            while True:
+                if watch is not None:
+                    # events for shards the last epoch already consumed
+                    # must not cost another listing
+                    watch.drain()
+                if self._pending_files():
+                    self.run(flush_at_end=False, report=False)
+                    interval = poll_interval_s  # reset backoff on data
+                    idle_since = None
+                    continue
+                now = time.time()
+                idle_since = idle_since or now
+                if idle_limit_s is not None and now - idle_since >= idle_limit_s:
+                    break
+                if watch is None:
+                    time.sleep(interval)
+                elif watch.wait(interval):
+                    # an arrival, or a wake with nothing pending (a .tmp
+                    # stage closing): list again, still idle since before
+                    continue
+                interval = min(interval * 2, max_poll_interval_s)
+        finally:
+            if watch is not None:
+                watch.close()
         if flush_at_end:
             last = self.store.last_committed()
             if last and not last[1].get("flushed", False):
                 # route through run() so the trailing flush also commits
                 # under the job lease (ADVICE: it used to commit lock-free)
-                self.run(flush_at_end=True)
+                self.run(flush_at_end=True, report=False)
         return self.status()
 
     def run(
@@ -789,8 +886,11 @@ class StreamingJob:
         max_epochs: int | None = None,
         flush_at_end: bool = True,
         pipeline_depth: int = 3,
-    ) -> dict:
-        """Consume the feed from the committed cursor to its current end.
+        report: bool = True,
+    ) -> dict | None:
+        """Consume the feed from the committed cursor to its current end and
+        return ``status()`` (None with ``report=False``: ``follow`` calls
+        this once per arrival and reports once, at the end).
 
         Epochs are pipelined: each partition's epoch-(e+1) reduce task is
         chained on its epoch-e reduce result (an ObjectRef), so compute for
@@ -813,12 +913,13 @@ class StreamingJob:
         if not lease.acquire():
             return {"status": "skipped", "reason": "lease held by another job"}
         try:
-            return self._run_locked(
+            self._run_locked(
                 max_epochs=max_epochs,
                 flush_at_end=flush_at_end,
                 pipeline_depth=pipeline_depth,
                 lease=lease,
             )
+            return self.status() if report else None
         finally:
             lease.release()
 
@@ -1089,7 +1190,7 @@ class StreamingJob:
         flush_at_end: bool,
         pipeline_depth: int,
         lease=None,
-    ) -> dict:
+    ) -> None:
         self.store.gc_uncommitted()
         last_commit = self.store.last_committed()
         if last_commit is not None:
@@ -1152,7 +1253,6 @@ class StreamingJob:
             # mid-commit-sequence
             if lease is not None:
                 lease.renew()
-        return self.status()
 
 
 def main(argv=None):  # pragma: no cover - CLI drive path

@@ -812,104 +812,13 @@ def session_kernel(
 
     Oracle SQL shape: gap-and-islands with
     ``lag(ts) OVER (PARTITION BY conv_id ORDER BY turn_idx)``.
+
+    The ``"session"`` output of :func:`session_with_join_kernel`.
     """
-    gap_us = gap_s * US
-    data = _concat_residual(state.get("residual"), new_rows)
-    cols = prep(data)
-    closed_count: dict = dict(state.get("closed_count", {}))
-    late_drops = int(state.get("late_drops", 0))
-    emitted_through: dict = dict(state.get("emitted_through", {}))
-    if len(cols.codes) == 0:
-        return _SESSION_EMPTY, state
-    if closure == "watermark" and emitted_through:
-        names = cols.conv_names()
-        thr = np.array(
-            [emitted_through.get(nm, _I64MIN) for nm in names], dtype=np.int64
-        )
-        cut = np.where(thr == _I64MIN, _I64MIN, thr + gap_us)
-        late = cols.ts <= cut[cols.codes]
-        if late.any():
-            late_drops += int(late.sum())
-            cols = prep(_take(cols, ~late))
-            if len(cols.codes) == 0:
-                return _SESSION_EMPTY, {
-                    "residual": None,
-                    "closed_count": closed_count,
-                    "late_drops": late_drops,
-                    "emitted_through": emitted_through,
-                }
-    sess = _assign_sessions(cols, gap_us)
-    starts, agg = _group_agg([sess], cols)
-    last_sess_per_conv = np.repeat(_conv_last(sess, cols), cols.ends - cols.starts)
-    names = cols.conv_names()
-    base_by_code = np.array([closed_count.get(nm, 0) for nm in names], dtype=np.int64)
-    run_codes = cols.codes[starts]
-    run_sess = sess[starts]
-    base = base_by_code[run_codes]
-    conv_last_sess = _conv_last(sess, cols)
-    last_by_code = np.empty(len(names), dtype=np.int64)
-    last_by_code[cols.codes[cols.starts]] = conv_last_sess
-    if flush:
-        emit_run = np.ones(len(starts), dtype=bool)
-        residual = None
-        # flush emits the open session too: advance past it so a post-flush
-        # continuation numbers NEW sessions after the published ones
-        # (flush is non-terminal; absent convs keep their counts)
-        for code, nm in enumerate(names):
-            closed_count[nm] = closed_count.get(nm, 0) + int(last_by_code[code]) + 1
-    else:
-        row_open = sess == last_sess_per_conv
-        # watermark closure: a conv's last session ALSO closes once the
-        # watermark passes its last event + gap (idle convs emit here)
-        wm_close_by_seg = None
-        if closure == "watermark" and watermark_us is not None:
-            conv_last_ts = _conv_last(cols.ts, cols)  # segment order
-            # STRICT >: a row at exactly last_ts + gap still extends the
-            # session (gap-and-islands breaks only on diff > gap) and a row
-            # at ts == watermark is still admissible — closing at >= would
-            # late-drop that row and undercount vs the oracle
-            wm_close_by_seg = watermark_us > conv_last_ts + gap_us
-            close_per_row = np.repeat(wm_close_by_seg, cols.ends - cols.starts)
-            row_open = row_open & ~close_per_row
-        emit_run = ~row_open[starts]
-        residual = _take(cols, row_open)
-        # advance closed_count: sessions 0..last-1 closed this epoch
-        # (conv segments are contiguous; map code -> its last session index);
-        # +1 when the watermark closed the last session too
-        if wm_close_by_seg is not None:
-            closed_last = np.zeros(len(names), dtype=bool)
-            closed_last[cols.codes[cols.starts]] = wm_close_by_seg
-            through = np.full(len(names), _I64MIN, dtype=np.int64)
-            through[cols.codes[cols.starts]] = _conv_last(cols.ts, cols)
-            for code, nm in enumerate(names):
-                inc = int(last_by_code[code]) + (1 if closed_last[code] else 0)
-                if inc > 0:
-                    closed_count[nm] = closed_count.get(nm, 0) + inc
-                if closed_last[code]:
-                    emitted_through[nm] = max(
-                        int(through[code]), emitted_through.get(nm, _I64MIN)
-                    )
-        else:
-            for code, nm in enumerate(names):
-                if last_by_code[code] > 0:
-                    closed_count[nm] = closed_count.get(nm, 0) + int(last_by_code[code])
-    out = pa.table(
-        {
-            "conv_id": cols.conv_strings(starts[emit_run]),
-            "session_id": pa.array((base + run_sess)[emit_run]),
-            "n_turns": pa.array(agg["n_turns"][emit_run]),
-            "n_user_turns": pa.array(agg["n_user_turns"][emit_run]),
-            "n_tool_turns": pa.array(agg["n_tool_turns"][emit_run]),
-            "first_turn_idx": pa.array(agg["first_turn_idx"][emit_run].astype(np.int64)),
-            "last_turn_idx": pa.array(agg["last_turn_idx"][emit_run].astype(np.int64)),
-            "duration_us": pa.array((agg["max_ts"] - agg["min_ts"])[emit_run]),
-        }
+    out, new_state = session_with_join_kernel(
+        new_rows, state, gap_s=gap_s, flush=flush, closure=closure, watermark_us=watermark_us
     )
-    new_state = {"residual": residual, "closed_count": closed_count}
-    if closure == "watermark":
-        new_state["late_drops"] = late_drops
-        new_state["emitted_through"] = emitted_through
-    return out, new_state
+    return out["session"], new_state
 
 
 def _last_user_turn(cols: Cols, sess: np.ndarray) -> np.ndarray:
@@ -956,51 +865,11 @@ def session_join_kernel(
     Emitted when the session closes (deterministic w.r.t. epoch boundaries).
     Oracle SQL shape: running ``max(CASE WHEN role='user' THEN turn_idx END)
     OVER (PARTITION BY conv_id, session ORDER BY turn_idx)`` filtered to
-    tool rows.
+    tool rows. The ``"session_join"`` output of
+    :func:`session_with_join_kernel`.
     """
-    gap_us = gap_s * US
-    data = _concat_residual(state.get("residual"), new_rows)
-    cols = prep(data)
-    closed_count: dict = dict(state.get("closed_count", {}))
-    if len(cols.codes) == 0:
-        return _JOIN_EMPTY, state
-    sess = _assign_sessions(cols, gap_us)
-    last_user = _last_user_turn(cols, sess)
-    last_sess_per_conv = np.repeat(_conv_last(sess, cols), cols.ends - cols.starts)
-    is_pair = cols.is_tool & (last_user >= 0)
-    names = cols.conv_names()
-    base_by_code = np.array([closed_count.get(nm, 0) for nm in names], dtype=np.int64)
-    conv_last_sess = _conv_last(sess, cols)
-    last_by_code = np.empty(len(names), dtype=np.int64)
-    last_by_code[cols.codes[cols.starts]] = conv_last_sess
-    if flush:
-        emit = is_pair
-        residual = None
-        # non-terminal flush: advance past the published open session so a
-        # continuation numbers new sessions after it (see session_kernel)
-        new_closed = dict(closed_count)
-        for code, nm in enumerate(names):
-            new_closed[nm] = new_closed.get(nm, 0) + int(last_by_code[code]) + 1
-    else:
-        closed_row = sess != last_sess_per_conv
-        emit = is_pair & closed_row
-        residual = _take(cols, ~closed_row)
-        new_closed = dict(closed_count)
-        for code, nm in enumerate(names):
-            if last_by_code[code] > 0:
-                new_closed[nm] = new_closed.get(nm, 0) + int(last_by_code[code])
-    base = base_by_code[cols.codes[emit]]
-    emitted = cols.origin.take(pa.array(cols.order[emit]))
-    out = pa.table(
-        {
-            "conv_id": cols.conv_strings(emit),
-            "session_id": pa.array(base + sess[emit]),
-            "user_turn_idx": pa.array(last_user[emit].astype(np.int64)),
-            "tool_turn_idx": pa.array(cols.turn[emit].astype(np.int64)),
-            "tool": emitted["tool"],
-        }
-    )
-    return out, {"residual": residual, "closed_count": new_closed}
+    out, new_state = session_with_join_kernel(new_rows, state, gap_s=gap_s, flush=flush)
+    return out["session_join"], new_state
 
 
 _INTERVAL_EMPTY = pa.table(
@@ -1234,6 +1103,50 @@ def interval_join_kernel(
 # ---------------------------------------------------------------------------
 
 
+def _session_numbering(
+    cols: Cols,
+    sess: np.ndarray,
+    closed_count: dict,
+    emit_codes: np.ndarray,
+    *,
+    flush: bool,
+    wm_closed: np.ndarray | None,
+    emitted_through: dict,
+) -> tuple[np.ndarray, dict]:
+    """Session ids continue across epochs: a session's id is the number of
+    sessions its conv closed in earlier epochs (``closed_count``) plus its
+    index within this epoch.
+
+    Returns that base per conv code, filled only at ``emit_codes`` (the convs
+    with an emitted session or pair), and the counts advanced past every
+    session this epoch closes; absent convs keep their counts. Only the
+    convs that close one are visited: every conv on a flush (it is
+    non-terminal and publishes the open session too, so a continuation
+    numbers new sessions after it), otherwise those whose last
+    session index is > 0 or whose last session the watermark closed
+    (``wm_closed``, per conv segment). For the latter, ``emitted_through``
+    advances in place to their last event time."""
+    base_by_code = np.zeros(len(cols.uniq), dtype=np.int64)
+    used = np.unique(emit_codes)
+    if len(used):
+        names = cols.uniq.take(used).to_pylist()
+        base_by_code[used] = [closed_count.get(nm, 0) for nm in names]
+    seg_codes = cols.codes[cols.starts]
+    inc = np.zeros(len(cols.uniq), dtype=np.int64)
+    inc[seg_codes] = _conv_last(sess, cols) + (1 if flush else 0)
+    if wm_closed is not None:
+        inc[seg_codes] += wm_closed
+        closed = seg_codes[wm_closed]
+        through = _conv_last(cols.ts, cols)[wm_closed]
+        for nm, t in zip(cols.uniq.take(closed).to_pylist(), through.tolist()):
+            emitted_through[nm] = max(t, emitted_through.get(nm, _I64MIN))
+    adv = np.flatnonzero(inc)
+    new_closed = dict(closed_count)
+    for nm, k in zip(cols.uniq.take(adv).to_pylist(), inc[adv].tolist()):
+        new_closed[nm] = new_closed.get(nm, 0) + k
+    return base_by_code, new_closed
+
+
 def session_with_join_kernel(
     new_rows: pa.Table,
     state: dict,
@@ -1244,24 +1157,24 @@ def session_with_join_kernel(
     watermark_us: int | None = None,
 ) -> tuple[dict[str, pa.Table], dict]:
     """Fused session window + session-scoped join: both operators share the
-    identical closure rule (the conv's LAST session stays open), so fusing
-    them halves the dictionary-encode/sort work and carries ONE residual.
-    Emits {"session": ..., "session_join": ...} with outputs byte-identical
-    to the standalone kernels. ``closure="watermark"`` closes idle convs'
-    last sessions at wm > last_ts + gap for BOTH outputs, with the same
-    late-drop semantics as :func:`session_kernel`."""
+    identical closure rule (the conv's LAST session stays open), so one
+    prep/sort and ONE residual serve both outputs,
+    {"session": ..., "session_join": ...}; :func:`session_kernel` and
+    :func:`session_join_kernel` each return one of them.
+    ``closure="watermark"`` closes idle convs' last sessions at
+    wm > last_ts + gap for BOTH outputs, with the late-drop semantics
+    :func:`session_kernel` documents."""
     gap_us = gap_s * US
     data = _concat_residual(state.get("residual"), new_rows)
     cols = prep(data)
-    closed_count: dict = dict(state.get("closed_count", {}))
+    closed_count: dict = state.get("closed_count", {})
     late_drops = int(state.get("late_drops", 0))
     emitted_through: dict = dict(state.get("emitted_through", {}))
     if len(cols.codes) == 0:
         return {"session": _SESSION_EMPTY, "session_join": _JOIN_EMPTY}, state
     if closure == "watermark" and emitted_through:
-        names0 = cols.conv_names()
         thr = np.array(
-            [emitted_through.get(nm, _I64MIN) for nm in names0], dtype=np.int64
+            [emitted_through.get(nm, _I64MIN) for nm in cols.conv_names()], dtype=np.int64
         )
         cut = np.where(thr == _I64MIN, _I64MIN, thr + gap_us)
         late = cols.ts <= cut[cols.codes]
@@ -1279,67 +1192,41 @@ def session_with_join_kernel(
                     },
                 )
     sess = _assign_sessions(cols, gap_us)
-    names = cols.conv_names()
-    base_by_code = np.array([closed_count.get(nm, 0) for nm in names], dtype=np.int64)
-    last_sess_per_conv = np.repeat(_conv_last(sess, cols), cols.ends - cols.starts)
-
     # --- session aggregate over contiguous (conv, session) runs
     starts, agg = _group_agg([sess], cols)
-    run_codes = cols.codes[starts]
-    run_sess = sess[starts]
-    base = base_by_code[run_codes]
-
     # --- join pairs
     last_user = _last_user_turn(cols, sess)
     is_pair = cols.is_tool & (last_user >= 0)
 
-    conv_last_sess = _conv_last(sess, cols)
-    last_by_code = np.empty(len(names), dtype=np.int64)
-    last_by_code[cols.codes[cols.starts]] = conv_last_sess
+    wm_closed = None
     if flush:
         emit_run = np.ones(len(starts), dtype=bool)
         emit_pair = is_pair
         residual = None
-        # non-terminal flush: advance past the published open session
-        new_closed = dict(closed_count)
-        for code, nm in enumerate(names):
-            new_closed[nm] = new_closed.get(nm, 0) + int(last_by_code[code]) + 1
     else:
-        row_open = sess == last_sess_per_conv
-        wm_close_by_seg = None
+        row_open = sess == np.repeat(_conv_last(sess, cols), cols.ends - cols.starts)
         if closure == "watermark" and watermark_us is not None:
-            conv_last_ts = _conv_last(cols.ts, cols)  # segment order
-            # strict >: see session_kernel (a row at exactly last_ts + gap
-            # still extends; ts == wm is still admissible)
-            wm_close_by_seg = watermark_us > conv_last_ts + gap_us
-            close_per_row = np.repeat(wm_close_by_seg, cols.ends - cols.starts)
-            row_open = row_open & ~close_per_row
+            # STRICT >: a row at exactly last_ts + gap still extends the
+            # session (gap-and-islands breaks only on diff > gap) and a row
+            # at ts == watermark is still admissible — closing at >= would
+            # late-drop that row and undercount vs the oracle
+            wm_closed = watermark_us > _conv_last(cols.ts, cols) + gap_us
+            row_open &= ~np.repeat(wm_closed, cols.ends - cols.starts)
         emit_run = ~row_open[starts]
         emit_pair = is_pair & ~row_open
         residual = _take(cols, row_open)
-        new_closed = dict(closed_count)
-        if wm_close_by_seg is not None:
-            closed_last = np.zeros(len(names), dtype=bool)
-            closed_last[cols.codes[cols.starts]] = wm_close_by_seg
-            through = np.full(len(names), _I64MIN, dtype=np.int64)
-            through[cols.codes[cols.starts]] = _conv_last(cols.ts, cols)
-            for code, nm in enumerate(names):
-                inc = int(last_by_code[code]) + (1 if closed_last[code] else 0)
-                if inc > 0:
-                    new_closed[nm] = new_closed.get(nm, 0) + inc
-                if closed_last[code]:
-                    emitted_through[nm] = max(
-                        int(through[code]), emitted_through.get(nm, _I64MIN)
-                    )
-        else:
-            for code, nm in enumerate(names):
-                if last_by_code[code] > 0:
-                    new_closed[nm] = new_closed.get(nm, 0) + int(last_by_code[code])
+    run_starts = starts[emit_run]
+    run_codes = cols.codes[run_starts]
+    pair_codes = cols.codes[emit_pair]
+    base_by_code, new_closed = _session_numbering(
+        cols, sess, closed_count, np.r_[run_codes, pair_codes],
+        flush=flush, wm_closed=wm_closed, emitted_through=emitted_through,
+    )
 
     session_out = pa.table(
         {
-            "conv_id": cols.conv_strings(starts[emit_run]),
-            "session_id": pa.array((base + run_sess)[emit_run]),
+            "conv_id": cols.conv_strings(run_starts),
+            "session_id": pa.array(base_by_code[run_codes] + sess[run_starts]),
             "n_turns": pa.array(agg["n_turns"][emit_run]),
             "n_user_turns": pa.array(agg["n_user_turns"][emit_run]),
             "n_tool_turns": pa.array(agg["n_tool_turns"][emit_run]),
@@ -1348,12 +1235,11 @@ def session_with_join_kernel(
             "duration_us": pa.array((agg["max_ts"] - agg["min_ts"])[emit_run]),
         }
     )
-    pair_base = base_by_code[cols.codes[emit_pair]]
     emitted = cols.origin.take(pa.array(cols.order[emit_pair]))
     join_out = pa.table(
         {
             "conv_id": cols.conv_strings(emit_pair),
-            "session_id": pa.array(pair_base + sess[emit_pair]),
+            "session_id": pa.array(base_by_code[pair_codes] + sess[emit_pair]),
             "user_turn_idx": pa.array(last_user[emit_pair]),
             "tool_turn_idx": pa.array(cols.turn[emit_pair]),
             "tool": emitted["tool"],

@@ -7,7 +7,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dstream_ray.stages.capture import relay_kernel
@@ -66,6 +66,31 @@ def feeds(draw):
     return tbl, [0, *cuts, tbl.num_rows]
 
 
+def _session_cases():
+    """A fixed feed in arrival order, cut into three epochs: conv ``a``
+    closes its first session in the middle epoch (a gap > GAP_S), conv ``b``
+    is absent from the middle epoch, and the last epoch is the flush."""
+    rows = [  # (conv, turn, role, ts in s)
+        ("a", 0, "user", 0), ("b", 0, "user", 5), ("a", 1, "assistant", 10),
+        ("a", 2, "tool", 20), ("b", 1, "tool", 25),
+        ("a", 3, "user", 200), ("a", 4, "tool", 210),
+        ("a", 5, "tool", 250), ("b", 2, "user", 300), ("b", 3, "tool", 310),
+    ]
+    tbl = pa.table({
+        "conv_id": pa.array([r[0] for r in rows]),
+        "turn_idx": pa.array([r[1] for r in rows], type=pa.int32()),
+        "role": pa.array([r[2] for r in rows]),
+        "text": pa.array(["x"] * len(rows)),
+        "tool": pa.array(["tx" if r[2] == "tool" else "" for r in rows]),
+        "ts": pa.array([1_700_000_000_000_000 + r[3] * 1_000_000 for r in rows],
+                       type=pa.int64()).cast(pa.timestamp("us")),
+    })
+    return tbl, [0, 5, 7, 10]
+
+
+SESSION_CASES = _session_cases()
+
+
 def run_split(kernel, rows: pa.Table, bounds, **kw) -> pd.DataFrame:
     state: dict = {}
     outs = []
@@ -83,6 +108,7 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 @settings(max_examples=40, deadline=None)
 @given(feeds())
+@example(SESSION_CASES)
 def test_epoch_split_invariance_all_kernels(data):
     tbl, bounds = data
     rows = to_residual_rows(tbl)
@@ -231,8 +257,26 @@ def test_key_relay_dual_cursor_property(data):
         assert g["ts"].is_monotonic_increasing
 
 
+def test_session_cases_cover_mid_close_absent_conv_and_flush():
+    """SESSION_CASES, the explicit example of the two split-invariance tests
+    above and below, has the three cases it claims."""
+    tbl, bounds = SESSION_CASES
+    rows = to_residual_rows(tbl)
+    chunks = [rows.slice(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    state: dict = {}
+    emitted = []
+    for i, chunk in enumerate(chunks):
+        out, state = session_kernel(chunk, state, gap_s=GAP_S, flush=i == len(chunks) - 1)
+        emitted.append(out["conv_id"].to_pylist())
+    assert emitted[1] == ["a"]  # a's first session closes mid-stream
+    assert "b" not in chunks[1]["conv_id"].to_pylist()  # b is absent meanwhile
+    assert sorted(emitted[2]) == ["a", "b", "b"]  # the flush emits the rest
+    assert state["closed_count"] == {"a": 2, "b": 2}
+
+
 @settings(max_examples=40, deadline=None)
 @given(feeds())
+@example(SESSION_CASES)
 def test_epoch_split_invariance_watermark_kernels(data):
     """Watermark-closure modes: on a globally ts-ordered feed with the
     watermark = running max event time, any epoch split's accumulated
@@ -261,6 +305,7 @@ def test_epoch_split_invariance_watermark_kernels(data):
     for kernel, kw in [
         (tumbling_kernel, {"width_s": WIDTH_S}),
         (sliding_kernel, {"width_s": WIDTH_S, "slide_s": WIDTH_S // 2}),
+        (session_kernel, {"gap_s": GAP_S}),
     ]:
         single = run_wm(kernel, [0, rows.num_rows], **kw)
         multi = run_wm(kernel, bounds, **kw)

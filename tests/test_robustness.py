@@ -703,7 +703,9 @@ def test_feed_schema_evolution_tolerated_missing_columns_loud(ray_session, tmp_p
     """Producer schema evolution: a shard with EXTRA columns is projected
     to the transcript contract (per-epoch sink files must share one
     schema); a shard MISSING contract columns fails loudly with the
-    column list."""
+    column list. Type drift: a ``timestamp[ns]`` ts (pandas' default) is
+    cast back to µs and windows exactly like the µs shard; a column that
+    does not cast safely fails loudly naming the shard."""
     feed = tmp_path / "feed"
     generate_transcripts(n_convs=6, mean_turns=5, seed=4,
                          out_path=str(feed), n_shards=2)
@@ -730,6 +732,35 @@ def test_feed_schema_evolution_tolerated_missing_columns_loud(ray_session, tmp_p
     ))
     with pytest.raises(Exception, match="missing transcript contract"):
         job2.run()
+
+    def tumbling_of(name, table):
+        d = tmp_path / f"feed_{name}"
+        os.makedirs(d)
+        pq.write_table(table, str(d / "feed-00.parquet"))
+        job = StreamingJob(StreamingConfig(
+            feed_dir=str(d), out_dir=str(tmp_path / f"out_{name}"),
+            num_partitions=2, operators={"tumbling": {"width_s": 86400}},
+        ))
+        job.run()
+        return job.sink.read_op("tumbling").to_pandas().sort_values(
+            ["conv_id", "window_id"]).reset_index(drop=True)
+
+    t0 = pq.read_table(str(feed / shards[0]))
+    ns = t0.set_column(5, "ts", t0["ts"].cast(pa.timestamp("ns")))
+    got = tumbling_of("ns", ns)
+    assert pq.read_schema(str(tmp_path / "feed_ns" / "feed-00.parquet")).field("ts").type \
+        == pa.timestamp("ns")
+    pd.testing.assert_frame_equal(got, tumbling_of("us", t0))
+
+    drift = tmp_path / "feed_drift"
+    os.makedirs(drift)
+    turn_str = pa.array([f"{v}.0" for v in t0["turn_idx"].to_pylist()])
+    pq.write_table(t0.set_column(1, "turn_idx", turn_str), str(drift / "feed-07.parquet"))
+    job3 = StreamingJob(StreamingConfig(
+        feed_dir=str(drift), out_dir=str(tmp_path / "out_drift"), num_partitions=2,
+    ))
+    with pytest.raises(Exception, match=r"feed-07\.parquet column 'turn_idx' has type string"):
+        job3.run()
 
 
 @pytest.mark.parametrize("feed_kind", ["parquet", "ndjson"])
