@@ -66,54 +66,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
     """One entry per implemented operator/pipeline from SURVEY.md §2.
 
     ORDERING CONTRACT: the driver grades at most the first 50 entries, so
-    every oracle-gated query (all have an oracle_sql() entry) comes first —
-    exactly 50 of them — and the rows-only ones (approximate / stub ops
-    whose semantics are pytest-validated instead) sit after the window.
-    q_doc_fingerprint / q_embedding_norms / q_text_normalize / q_dedup_exact
-    remain in the library + local parity tooling but ceded their grading
-    slots to richer gated queries (the latter two are still driver-gated
-    compositionally inside curation_pipeline; the new slots gate the
-    'dedup' and 'enrich' ENGINE operators end-to-end). Round 3 cedes five
-    more batch-surface slots whose kernels stay driver-gated through their
-    engine twins (transcripts_feed→streaming_events, tumbling_window→
-    streaming_tumbling, sliding_window→streaming_sliding, session_window→
-    streaming_session, stream_join→streaming_join/_wm — identical oracles,
-    same kernels inside the engine run; all five keep full local parity in
-    tools/parity_check.py) to gate five round-3 operators end-to-end:
-    the LEFT-OUTER interval join, per-row running window functions,
-    gaps-and-islands sessionize, and the windowed HLL + log-histogram
-    quantile sketches (both register-exact in SQL). Round 4 cedes the plain
-    conv-closure engine twins streaming_tumbling / streaming_session (their
-    kernels stay driver-gated via streaming_tumbling_wm / tumbling_salted
-    and streaming_session_wm / session_salted — identical oracles, same
-    kernels — and both keep full local parity in tools/parity_check.py) to
-    gate two formerly rows-only families end-to-end: knn_ivf (integer-exact
-    sampled coarse quantizer; the Lloyd variants stay under the recall
-    pytest as knn_ivf_lloyd) and multimodal_raw (the REAL RGB0 byte
-    round-trip, integer features recomputed analytically by DuckDB).
-    cep_pattern (batch twin of streaming_cep — identical kernel and oracle,
-    kept in local parity) cedes its slot to streaming_neardup, the new
-    ingest-time banded-MinHash near-dup suppressor gated end-to-end through
-    its own engine run over the documents feed. Round 4 (late) cedes nine
-    more slots to gate the round-4 training-data family end-to-end:
-    events_hourly / lineitem_pricing / orders_by_segment / top_lineitems /
-    semi_anti_orders (generic relational demos beyond the reference —
-    relational coverage stays gated via big_spenders / asof_join /
-    range_join), lang_stats (aggregation twin of langid_markers, which
-    stays gated), centroid_by_label (embedding aggregation; the knn family
-    stays gated), sample_balanced (stratified_split + mixture_sample gate
-    the sampling family), and curation_pipeline (superseded by curation_v2,
-    which composes decontamination in front of the identical flow) — all
-    nine keep full local parity in tools/parity_check.py. In their place:
-    pii_scrub, repetition_stats (Gopher rules), decontamination,
-    curation_v2, mixture_sample, stratified_split, semantic_dedup,
-    substring_dedup, quality_classify."""
+    the 50 oracle-gated queries (each has an oracle_sql() entry) come first.
+    After them come the oracle-backed queries the driver does not grade
+    (tools/parity_check.py checks them with the same rigor), then the
+    rows-only ones (approximate / stub ops validated in pytest instead).
+    Library-only oracle-checked queries — batch twins and compositions
+    whose operators are gated here through an engine run or a larger
+    pipeline — are listed in tools/parity_check.LIBRARY_QUERIES, not here."""
     from dstream_ray.pipelines import dataops as d
     from dstream_ray.pipelines import queries as q
 
     return {
         # streaming operators (batch surface; plain tumbling/sliding/session/
-        # join ceded their slots to their engine twins — see docstring)
+        # join are gated through their engine runs below)
         "session_salted": q.q_session_salted,  # hot-key-salted two-phase variant
         "tumbling_salted": q.q_tumbling_salted,  # pre-aggregation (skew-proof) variant
         "partition_watermarks": q.q_partition_watermarks,
@@ -136,9 +101,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "streaming_hll": q.q_streaming_hll,  # windowed HLL sketch, register-exact oracle
         "streaming_qsketch": q.q_streaming_qsketch,  # windowed log-histogram quantile sketch
         "streaming_neardup": q.q_streaming_neardup,  # banded-MinHash ingest-time near-dup suppression
-        # relational coverage (events_hourly / lineitem_pricing /
-        # orders_by_segment / top_lineitems / semi_anti_orders ceded their
-        # slots to the round-4 curation family; all keep local parity)
+        # relational coverage
         "big_spenders": d.q_big_spenders,  # native hash join path
         "asof_join": q.q_asof_join,
         "range_join": q.q_range_join,

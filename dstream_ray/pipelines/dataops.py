@@ -1192,17 +1192,29 @@ def _load_queries(sf_dir: str) -> dict:
     return {"ids": ids, "vecs": vecs}
 
 
+def _fixed(M: np.ndarray) -> np.ndarray:
+    """The ANN family's fixed-point integers ``floor(x * 1e6)`` (exact in
+    float64)."""
+    return np.floor(np.asarray(M, dtype=np.float64) * PQ_SCALE)
+
+
+def _fixed_rows(col) -> np.ndarray:
+    return _fixed(ann._stack(col))
+
+
+def _cosine_knn(sf_dir: str, q: dict, route=None, probes=None) -> pd.DataFrame:
+    """Cosine top-k of the query vectors ``q`` through
+    :func:`ann.knn_search` (over probed lists when ``route`` is given)."""
+    Q = ann.normalize_rows(q["vecs"])
+    return ann.knn_search(_read_embeddings(sf_dir), q["ids"],
+                          lambda M: -(Q @ ann.normalize_rows(M).T), k=KNN_K,
+                          route=route, probes=probes)
+
+
 def q_knn_bruteforce(sf_dir: str) -> pd.DataFrame:
-    """Brute-force cosine top-k: broadcast query matrix, per-batch matmul
-    partial top-k, tiny driver merge."""
-    qref = ray.put(_load_queries(sf_dir))
-    ds = _read_embeddings(sf_dir)
-    partials = ds.map_batches(
-        lambda b, _q=qref: ann.BruteForceTopK(_q, k=KNN_K)(b),
-        batch_format="pyarrow",
-        batch_size=4096,
-    ).to_pandas()
-    return ann.merge_topk(partials, k=KNN_K)
+    """Brute-force cosine top-k: per-batch matmul partial top-k against the
+    (tiny, closure-shipped) query matrix, tiny driver merge."""
+    return _cosine_knn(sf_dir, _load_queries(sf_dir))
 
 
 def q_knn_classify(sf_dir: str) -> pd.DataFrame:
@@ -1236,36 +1248,16 @@ def q_knn_lsh(sf_dir: str) -> pd.DataFrame:
     plus every bucket at Hamming distance 1 (flip one hyperplane sign) —
     the standard recall boost without extra tables.
 
-    Scale shape: probe sets + query matrix are broadcast; the bucketized
-    corpus streams through a ``ProbedTopK`` map_batches stage emitting
-    per-batch partial top-k, and only nq×k×batches partial rows reach the
-    driver merge — no corpus-proportional ``.to_pandas()``. Rows-only;
-    recall vs brute force in pytest."""
+    Scale shape: one :func:`ann.knn_search` pass buckets each batch, drops
+    rows in no probed bucket and emits per-batch partial top-k; only
+    nq×k×batches partial rows reach the driver merge — no
+    corpus-proportional ``.to_pandas()``. The buckets are integer-exact, so
+    the oracle replays them; recall vs brute force in pytest."""
     q = _load_queries(sf_dir)
     lsh = ann.HyperplaneLSH(dim=q["vecs"].shape[1])
-    n_planes = lsh.planes.shape[0]
-    qbucket = lsh.bucket_of(q["vecs"])
-    probes = {
-        int(qid): {int(b)} | {int(b) ^ (1 << j) for j in range(n_planes)}
-        for qid, b in zip(q["ids"], qbucket)
-    }
-    wanted = np.asarray(sorted(set().union(*probes.values())), dtype=np.int64)
-    # the search state is tiny (nq x dim floats + probe lists): ship it in
-    # the task closure — a second actor pool here would starve small sessions
-    topk = ann.ProbedTopK(q, probes, bucket_col="bucket", k=KNN_K)
-    partials = (
-        _read_embeddings(sf_dir)
-        .map_batches(lsh, batch_format="pyarrow", batch_size=4096)
-        .map_batches(
-            lambda b: b.filter(
-                pa.array(np.isin(b["bucket"].to_numpy(zero_copy_only=False), wanted))
-            ),
-            batch_format="pyarrow",
-        )
-        .map_batches(topk, batch_format="pyarrow", batch_size=4096)
-        .to_pandas()
-    )
-    return ann.merge_topk(partials, k=KNN_K)
+    flips = np.r_[0, 1 << np.arange(lsh.planes.shape[0])]
+    probes = lsh.bucket_of(q["vecs"])[:, None] ^ flips[None, :]
+    return _cosine_knn(sf_dir, q, lambda M, _ids: lsh.bucket_of(M), probes)
 
 
 def q_embedding_norms(sf_dir: str):
@@ -2556,12 +2548,11 @@ def q_knn_ivf(
     ``"distributed"``: ann.kmeans_distributed, one streaming corpus pass
     per iteration — the 10^10-vector path; ``"auto"`` (default): head below
     :data:`IVF_DISTRIBUTED_QUANTIZER_MIN_ROWS` rows per the parquet
-    metadata, distributed above), broadcast the centroids, bucket the
-    corpus by nearest centroid inside map_batches, and search only the
-    n_probe closest lists per query via the same broadcast ``ProbedTopK``
-    stage as LSH (per-batch partial top-k; only nq×k×batches rows reach the
-    driver). Rows-only; pytest bounds recall vs brute force on BOTH
-    quantizers."""
+    metadata, distributed above), bucket the corpus by nearest centroid
+    inside the :func:`ann.knn_search` pass, and search only the n_probe
+    closest lists per query (per-batch partial top-k; only nq×k×batches
+    rows reach the driver). Rows-only; pytest bounds recall vs brute force
+    on BOTH quantizers."""
     q = _load_queries(sf_dir)
     if quantizer == "auto":
         n_rows = pq.ParquetFile(
@@ -2577,39 +2568,10 @@ def q_knn_ivf(
         head = next(pf.iter_batches(batch_size=2000, columns=["embedding"]))
         sample = ann.normalize_rows(ann._stack(pa.Table.from_batches([head])["embedding"]))
         C = _kmeans_lite(sample, n_lists)
-    c_ref = ray.put(C)
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        cents = ray.get(c_ref)
-        M = ann.normalize_rows(ann._stack(b["embedding"]))
-        return pa.table(
-            {
-                "vec_id": b["vec_id"],
-                "embedding": b["embedding"],
-                "ivf_list": pa.array(np.argmax(M @ cents.T, axis=1).astype(np.int64)),
-            }
-        )
-
-    Q = ann.normalize_rows(q["vecs"])
-    probe_mat = np.argsort(-(Q @ C.T), axis=1)[:, :n_probe]
-    probes = {
-        int(qid): {int(x) for x in probe_mat[qi]} for qi, qid in enumerate(q["ids"])
-    }
-    wanted = np.asarray(sorted(set().union(*probes.values())), dtype=np.int64)
-    topk = ann.ProbedTopK(q, probes, bucket_col="ivf_list", k=KNN_K)
-    partials = (
-        _read_embeddings(sf_dir)
-        .map_batches(bucketize, batch_format="pyarrow")
-        .map_batches(
-            lambda b: b.filter(
-                pa.array(np.isin(b["ivf_list"].to_numpy(zero_copy_only=False), wanted))
-            ),
-            batch_format="pyarrow",
-        )
-        .map_batches(topk, batch_format="pyarrow", batch_size=4096)
-        .to_pandas()
+    probes = np.argsort(-(ann.normalize_rows(q["vecs"]) @ C.T), axis=1)[:, :n_probe]
+    return _cosine_knn(
+        sf_dir, q, lambda M, _ids: np.argmax(ann.normalize_rows(M) @ C.T, axis=1), probes
     )
-    return ann.merge_topk(partials, k=KNN_K)
 
 
 IVF_INT_LISTS = 16
@@ -2628,54 +2590,16 @@ def q_knn_ivf_int(sf_dir: str) -> pd.DataFrame:
     ~3e11 (< 2^53), so the float64 matmul is EXACT and equals DuckDB's
     BIGINT arithmetic; assignment tiebreak is the smaller list id.
 
-    Scale shape is identical to :func:`q_knn_ivf`: centroids broadcast via
-    ``ray.put``, per-batch integer assignment inside ``map_batches``, probe
-    pruning before the ``ProbedTopK`` partial top-k — only nq×k×batches
-    partial rows reach the driver merge."""
-    ctbl = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", IVF_INT_LISTS)],
-    )
-    corder = np.argsort(np.asarray(ctbl["vec_id"].to_pylist(), dtype=np.int64))
-    C = np.floor(ann._stack(ctbl["embedding"])[corder] * 1_000_000.0)
-    c_ref = ray.put(C)
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        cents = ray.get(c_ref)
-        M = np.floor(ann._stack(b["embedding"]) * 1_000_000.0)
-        # np.argmax takes the FIRST max -> smaller list id wins ties,
-        # matching the oracle's ORDER BY s DESC, j
-        return pa.table(
-            {
-                "vec_id": b["vec_id"],
-                "embedding": b["embedding"],
-                "ivf_list": pa.array(np.argmax(M @ cents.T, axis=1).astype(np.int64)),
-            }
-        )
-
+    Scale shape is identical to :func:`q_knn_ivf`: per-batch integer
+    assignment and probe pruning inside the :func:`ann.knn_search` pass —
+    only nq×k×batches partial rows reach the driver merge."""
+    C = _sampled_centroids(sf_dir, IVF_INT_LISTS)
     q = _load_queries(sf_dir)
-    Qs = np.floor(q["vecs"] * 1_000_000.0) @ C.T  # (nq, n_lists), exact ints
     # top n_probe lists by score desc; stable sort -> smaller-id tiebreak
-    probe_mat = np.argsort(-Qs, axis=1, kind="stable")[:, :IVF_INT_PROBE]
-    probes = {
-        int(qid): {int(x) for x in probe_mat[qi]} for qi, qid in enumerate(q["ids"])
-    }
-    wanted = np.asarray(sorted(set().union(*probes.values())), dtype=np.int64)
-    topk = ann.ProbedTopK(q, probes, bucket_col="ivf_list", k=KNN_K)
-    partials = (
-        _read_embeddings(sf_dir)
-        .map_batches(bucketize, batch_format="pyarrow")
-        .map_batches(
-            lambda b: b.filter(
-                pa.array(np.isin(b["ivf_list"].to_numpy(zero_copy_only=False), wanted))
-            ),
-            batch_format="pyarrow",
-        )
-        .map_batches(topk, batch_format="pyarrow", batch_size=4096)
-        .to_pandas()
-    )
-    return ann.merge_topk(partials, k=KNN_K)
+    probes = np.argsort(-(_fixed(q["vecs"]) @ C.T), axis=1, kind="stable")[:, :IVF_INT_PROBE]
+    # np.argmax takes the FIRST max -> smaller list id wins ties, matching
+    # the oracle's ORDER BY s DESC, j
+    return _cosine_knn(sf_dir, q, lambda M, _ids: np.argmax(_fixed(M) @ C.T, axis=1), probes)
 
 
 def q_kmeans_step(sf_dir: str, n_clusters: int = IVF_INT_LISTS) -> pd.DataFrame:
@@ -2691,7 +2615,7 @@ def q_kmeans_step(sf_dir: str, n_clusters: int = IVF_INT_LISTS) -> pd.DataFrame:
     Lloyd variants (full convergence, recall-tested) remain in
     :func:`q_knn_ivf`. Empty clusters emit no rows (both sides).
 
-    Scale shape: the K×D centroid block broadcasts via ``ray.put``;
+    Scale shape: the K×D centroid block ships in the task closure;
     each batch computes one vectorized assignment + ``np.add.at``
     scatter and emits a FIXED K×D-row partial (counts + sums) no matter
     the batch size — the 65536-slot BPE-partial discipline — so the
@@ -2708,15 +2632,15 @@ def q_kmeans_step(sf_dir: str, n_clusters: int = IVF_INT_LISTS) -> pd.DataFrame:
 
 
 def _sampled_centroids(sf_dir: str, n_clusters: int) -> np.ndarray:
-    """The ANN family's sampled fixed-point initial centroids: the
-    corpus vectors ``vec_id < n_clusters`` at floor(x*1e6)."""
+    """The ANN family's sampled fixed-point initial centroids (and PQ
+    codebook): the corpus vectors ``vec_id < n_clusters`` at floor(x*1e6)."""
     ctbl = pq.read_table(
         os.path.join(sf_dir, "embeddings.parquet"),
         columns=["vec_id", "embedding"],
         filters=[("vec_id", "<", n_clusters)],
     )
     corder = np.argsort(np.asarray(ctbl["vec_id"].to_pylist(), dtype=np.int64))
-    return np.floor(ann._stack(ctbl["embedding"])[corder] * PQ_SCALE)
+    return _fixed_rows(ctbl["embedding"])[corder]
 
 
 def _kmeans_assign_agg(sf_dir: str, C: np.ndarray) -> pd.DataFrame:
@@ -2727,17 +2651,11 @@ def _kmeans_assign_agg(sf_dir: str, C: np.ndarray) -> pd.DataFrame:
     from ray.data.aggregate import Sum
 
     K, D = C.shape
-    c_ref = ray.put(C)
 
     def step_partial(b: pa.Table) -> pa.Table:
-        cents = ray.get(c_ref)
-        X = np.floor(ann._stack(b["embedding"]) * PQ_SCALE)
-        # exact integer squared L2 in float64 (terms < 2^53); np.argmin
-        # takes the FIRST minimum -> smaller cluster id wins ties
-        d2 = ((X * X).sum(axis=1)[:, None]
-              - 2.0 * (X @ cents.T)
-              + (cents * cents).sum(axis=1)[None, :])
-        a = np.argmin(d2, axis=1)
+        X = _fixed_rows(b["embedding"])
+        # np.argmin takes the FIRST minimum -> smaller cluster id wins ties
+        a = np.argmin(ann.sq_l2(X, C), axis=1)
         n = np.bincount(a, minlength=K).astype(np.int64)
         S = np.zeros((K, D))
         np.add.at(S, a, X)
@@ -2779,7 +2697,7 @@ def q_kmeans_train(
     bounded groupby) — the :func:`q_bpe_train` discipline: no working
     dataset is materialized between iterations, every pass is
     independently retryable, and the driver holds only the K×D centroid
-    matrix it broadcasts back out via ``ray.put``. The float
+    matrix it ships back out with each pass. The float
     full-convergence variants stay under the recall pytest in
     :func:`q_knn_ivf`."""
     from dstream_ray.pipelines.oracles import KMEANS_TRAIN_ITERS
@@ -2809,6 +2727,15 @@ def q_kmeans_train(
     })
 
 
+def _trained_centroids(sf_dir: str, n_lists: int, n_iters: int | None) -> np.ndarray:
+    """The (n_lists, D) centroid matrix :func:`q_kmeans_train` learns."""
+    trained = q_kmeans_train(sf_dir, n_clusters=n_lists, n_iters=n_iters)
+    C = np.zeros((n_lists, int(trained["dim"].max()) + 1))
+    C[trained["cluster_id"].to_numpy(), trained["dim"].to_numpy()] = (
+        trained["c"].to_numpy(dtype=np.float64))
+    return C
+
+
 def q_knn_ivf_trained(
     sf_dir: str,
     n_lists: int = IVF_INT_LISTS,
@@ -2828,85 +2755,22 @@ def q_knn_ivf_trained(
 
     Scale shape: training is N bounded-groupby passes (see
     :func:`q_kmeans_train`); search is the :func:`q_knn_ivf_int` shape —
-    K×D centroids broadcast via ``ray.put``, per-batch assignment +
-    probe pruning BEFORE distance work, per-query partial top-k
-    (nq*k rows per batch), tiny driver merge."""
-    trained = q_kmeans_train(sf_dir, n_clusters=n_lists, n_iters=n_iters)
-    D = int(trained["dim"].max()) + 1
-    C = np.zeros((n_lists, D))
-    C[trained["cluster_id"].to_numpy(), trained["dim"].to_numpy()] = (
-        trained["c"].to_numpy(dtype=np.float64))
-
+    per-batch assignment + probe pruning BEFORE distance work, per-query
+    partial top-k (nq*k rows per batch), tiny driver merge."""
+    C = _trained_centroids(sf_dir, n_lists, n_iters)
     q = _load_queries(sf_dir)
-    qids = np.asarray(q["ids"], dtype=np.int64)
-    Qf = np.floor(np.asarray(q["vecs"], dtype=np.float64) * PQ_SCALE)
-    qd2 = ((Qf * Qf).sum(axis=1)[:, None] - 2.0 * (Qf @ C.T)
-           + (C * C).sum(axis=1)[None, :])
-    probe_mat = np.argsort(qd2, axis=1, kind="stable")[:, :n_probe]
-    probes = [np.sort(probe_mat[qi]).astype(np.int64) for qi in range(len(qids))]
-    wanted = np.unique(np.concatenate(probes))
-    ref = ray.put((qids, Qf, C, probes, wanted))
-
-    def trained_partial(b: pa.Table) -> pa.Table:
-        _qids, _Qf, cents, _probes, _wanted = ray.get(ref)
-        X = np.floor(ann._stack(b["embedding"]) * PQ_SCALE)
-        vec_ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d2c = ((X * X).sum(axis=1)[:, None] - 2.0 * (X @ cents.T)
-               + (cents * cents).sum(axis=1)[None, :])
-        lists = np.argmin(d2c, axis=1).astype(np.int64)  # first min = smaller
-        keep = np.isin(lists, _wanted)  # prune before the exact distances
-        if not keep.any():
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "d2": pa.array([], type=pa.int64())})
-        X, vec_ids, lists = X[keep], vec_ids[keep], lists[keep]
-        d2 = ((X * X).sum(axis=1)[None, :] - 2.0 * (_Qf @ X.T)
-              + (_Qf * _Qf).sum(axis=1)[:, None])  # (nq, n_keep), exact ints
-        out_q, out_n, out_d = [], [], []
-        for qi in range(len(_qids)):
-            allowed = np.isin(lists, _probes[qi])
-            if not allowed.any():
-                continue
-            row, ids = d2[qi][allowed], vec_ids[allowed]
-            kn = min(k + 1, len(row))  # +1 survives self-exclusion
-            top = np.lexsort((ids, row))[:kn]  # ties: argpartition is arbitrary at the boundary
-            out_q.append(np.full(len(top), _qids[qi], dtype=np.int64))
-            out_n.append(ids[top])
-            out_d.append(row[top].astype(np.int64))
-        if not out_q:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "d2": pa.array([], type=pa.int64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "d2": pa.array(np.concatenate(out_d)),
-        })
-
-    partials = (_read_embeddings(sf_dir)
-                .map_batches(trained_partial, batch_format="pyarrow",
-                             batch_size=4096)
-                .to_pandas())
-    out = []
-    for qid, g in partials.groupby("query_id"):
-        g = g[g["neighbor_id"] != qid]
-        g = g.sort_values(["d2", "neighbor_id"]).head(k).reset_index(drop=True)
-        out.append(pd.DataFrame({
-            "query_id": np.full(len(g), qid, dtype=np.int64),
-            "neighbor_id": g["neighbor_id"].to_numpy(dtype=np.int64),
-            "d2": g["d2"].to_numpy(dtype=np.int64),
-            "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-        }))
-    if not out:
-        return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                             "neighbor_id": pd.Series([], dtype="int64"),
-                             "d2": pd.Series([], dtype="int64"),
-                             "rank": pd.Series([], dtype="int64")})
-    return pd.concat(out, ignore_index=True)
+    Qf = _fixed(q["vecs"])
+    probes = np.argsort(ann.sq_l2(Qf, C), axis=1, kind="stable")[:, :n_probe]
+    return ann.knn_search(
+        _read_embeddings(sf_dir), q["ids"], lambda X: ann.sq_l2(Qf, X), k=k,
+        score_col="d2", embed=_fixed_rows, probes=probes,
+        # first minimum = smaller list id
+        route=lambda X, _ids: np.argmin(ann.sq_l2(X, C), axis=1),
+    )
 
 
 # ---------------------------------------------------------------------------
-# wide-op coverage: native hash join + distributed top-k
+# product quantization (PQ-ADC) and its IVF compositions
 # ---------------------------------------------------------------------------
 
 
@@ -2926,42 +2790,49 @@ def q_pq_encode(sf_dir: str) -> rd.Dataset:
     assignment is the integer squared-L2 argmin with smaller-k tiebreak
     (np.argmin takes the first minimum). Every squared distance is a sum
     of 8 products of values |.| <= ~8e6, < 2^53, so the vectorized
-    float64 einsum is exact and equals DuckDB's BIGINT arithmetic.
+    float64 arithmetic is exact and equals DuckDB's BIGINT arithmetic.
 
-    Scale shape: the PQ_M*PQ_K codebook rides to every task via
-    ``ray.put``; encoding is one map_batches (no shuffle, no driver
-    loop); per-vec output is PQ_M codes + the integer reconstruction
-    error (the ADC table for search is a per-query constant built from
-    the same codebook)."""
-    ctbl = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", PQ_K)],
-    )
-    corder = np.argsort(np.asarray(ctbl["vec_id"].to_pylist(), dtype=np.int64))
-    C = np.floor(ann._stack(ctbl["embedding"])[corder] * PQ_SCALE)  # (K, D)
-    d_sub = C.shape[1] // PQ_M
-    c_ref = ray.put(C)
+    Scale shape: the PQ_M*PQ_K codebook rides to every task in the
+    closure; encoding is one map_batches (no shuffle, no driver loop);
+    per-vec output is PQ_M codes + the integer reconstruction error (the
+    ADC table for search is a per-query constant built from the same
+    codebook)."""
+    C = _sampled_centroids(sf_dir, PQ_K)
 
     def encode(b: pa.Table) -> pa.Table:
-        cents = ray.get(c_ref)
-        X = np.floor(ann._stack(b["embedding"]) * PQ_SCALE)  # (n, D)
+        codes, err = ann.pq_encode(_fixed_rows(b["embedding"]), C, PQ_M)
         cols = {"vec_id": b["vec_id"]}
-        err = np.zeros(len(X), dtype=np.int64)
         for m in range(PQ_M):
-            sub = X[:, m * d_sub:(m + 1) * d_sub]            # (n, d)
-            cs = cents[:, m * d_sub:(m + 1) * d_sub]         # (K, d)
-            # exact integer squared L2 in float64 (all terms < 2^53)
-            dists = ((sub * sub).sum(axis=1)[:, None]
-                     - 2.0 * (sub @ cs.T)
-                     + (cs * cs).sum(axis=1)[None, :])       # (n, K)
-            code = np.argmin(dists, axis=1)                  # first min = smaller k
-            cols[f"code_{m}"] = pa.array(code.astype(np.int64))
-            err += dists[np.arange(len(X)), code].astype(np.int64)
+            cols[f"code_{m}"] = pa.array(codes[:, m])
         cols["recon_err"] = pa.array(err)
         return pa.table(cols)
 
     return _read_embeddings(sf_dir).map_batches(encode, batch_format="pyarrow")
+
+
+def _adc_search(sf_dir: str, k: int, list_dist=None, n_probe: int = 0) -> pd.DataFrame:
+    """PQ-ADC top-k over the sampled codebook, optionally IVF-routed:
+    ``list_dist`` gives fixed-point rows' (n, n_lists) distances to the
+    coarse lists (smaller is nearer). Rows route to their nearest list
+    (first minimum = smaller list id), queries probe their ``n_probe``
+    nearest (stable sort: smaller-id ties), and only rows of probed lists
+    are PQ-encoded and ADC-scored."""
+    C_pq = _sampled_centroids(sf_dir, PQ_K)
+    q = _load_queries(sf_dir)
+    Qf = _fixed(q["vecs"])
+    T = ann.adc_tables(Qf, C_pq, PQ_M)
+    route = probes = None
+    if list_dist is not None:
+        probes = np.argsort(list_dist(Qf), axis=1, kind="stable")[:, :n_probe]
+
+        def route(X, _ids):  # first minimum = smaller list id
+            return np.argmin(list_dist(X), axis=1)
+
+    return ann.knn_search(
+        _read_embeddings(sf_dir), q["ids"],
+        lambda X: ann.adc_scores(T, ann.pq_encode(X, C_pq, PQ_M)[0]),
+        k=k, score_col="adc", embed=_fixed_rows, route=route, probes=probes,
+    )
 
 
 def q_pq_search(sf_dir: str) -> pd.DataFrame:
@@ -2975,79 +2846,17 @@ def q_pq_search(sf_dir: str) -> pd.DataFrame:
     bit-for-bit. Ties break on smaller neighbor id; self-matches are
     excluded (query vectors are corpus vectors).
 
-    Scale shape: the (queries x tables) bundle is broadcast via
-    ``ray.put``; each batch encodes itself and emits per-query partial
-    top-k rows (nq*k per batch), merged by the tiny driver merge — the
-    brute-force path's shape with lookups instead of a matmul."""
-    ctbl = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", PQ_K)],
-    )
-    corder = np.argsort(np.asarray(ctbl["vec_id"].to_pylist(), dtype=np.int64))
-    C = np.floor(ann._stack(ctbl["embedding"])[corder] * PQ_SCALE)  # (K, D)
-    d_sub = C.shape[1] // PQ_M
-    q = _load_queries(sf_dir)
-    Qf = np.floor(np.asarray(q["vecs"], dtype=np.float64) * PQ_SCALE)
-    nq = len(q["ids"])
-    T = np.zeros((nq, PQ_M, PQ_K))
-    for m in range(PQ_M):
-        qs = Qf[:, m * d_sub:(m + 1) * d_sub]
-        cs = C[:, m * d_sub:(m + 1) * d_sub]
-        T[:, m, :] = ((qs * qs).sum(axis=1)[:, None]
-                      - 2.0 * (qs @ cs.T)
-                      + (cs * cs).sum(axis=1)[None, :])
-    ref = ray.put((np.asarray(q["ids"], dtype=np.int64), T, C))
-
-    def adc_partial(b: pa.Table) -> pa.Table:
-        qids, tables, cents = ray.get(ref)
-        X = np.floor(ann._stack(b["embedding"]) * PQ_SCALE)
-        vec_ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dist = np.zeros((len(qids), len(X)))
-        for m in range(PQ_M):
-            sub = X[:, m * d_sub:(m + 1) * d_sub]
-            cs = cents[:, m * d_sub:(m + 1) * d_sub]
-            dd = ((sub * sub).sum(axis=1)[:, None]
-                  - 2.0 * (sub @ cs.T)
-                  + (cs * cs).sum(axis=1)[None, :])
-            codes = np.argmin(dd, axis=1)
-            dist += tables[:, m, codes]
-        out_q, out_n, out_d = [], [], []
-        k = min(KNN_K + 1, dist.shape[1])
-        for qi in range(len(qids)):
-            row = dist[qi]
-            top = np.lexsort((vec_ids, row))[:k]  # ties: argpartition is arbitrary at the boundary
-            out_q.append(np.full(len(top), qids[qi], dtype=np.int64))
-            out_n.append(vec_ids[top])
-            out_d.append(row[top].astype(np.int64))
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "adc": pa.array(np.concatenate(out_d)),
-        })
-
-    partials = (_read_embeddings(sf_dir)
-                .map_batches(adc_partial, batch_format="pyarrow",
-                             batch_size=4096)
-                .to_pandas())
-    out = []
-    for qid, g in partials.groupby("query_id"):
-        g = g[g["neighbor_id"] != qid]
-        g = g.sort_values(["adc", "neighbor_id"]).head(KNN_K).reset_index(drop=True)
-        out.append(pd.DataFrame({
-            "query_id": np.full(len(g), qid, dtype=np.int64),
-            "neighbor_id": g["neighbor_id"].to_numpy(dtype=np.int64),
-            "adc": g["adc"].to_numpy(dtype=np.int64),
-            "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-        }))
-    return pd.concat(out, ignore_index=True)
+    Scale shape: the query tables ride in the task closure; each batch
+    encodes itself and emits per-query partial top-k rows (nq*k per
+    batch), merged by the tiny driver merge — the brute-force path's shape
+    with lookups instead of a matmul."""
+    return _adc_search(sf_dir, KNN_K)
 
 
 def q_knn_ivfpq(
     sf_dir: str,
     n_lists: int = IVF_INT_LISTS,
     n_probe: int = IVF_INT_PROBE,
-    path: str = "raw",
     k: int = KNN_K,
 ) -> pd.DataFrame:
     """IVF+PQ — the composed billion-to-trillion-vector ANN architecture
@@ -3063,179 +2872,15 @@ def q_knn_ivfpq(
     bit-for-bit. Ties break on smaller neighbor id; self-matches are
     excluded (query vectors are corpus vectors).
 
-    Scale shape, ``path="raw"`` (default, the self-contained query): ONE
-    map_batches pass — coarse-assign the batch, drop rows outside every
-    probed list BEFORE PQ-encoding them, ADC-score survivors per probing
-    query, emit per-query partial top-k (nq*k rows per batch). The
-    broadcast bundle (coarse centroids + codebook + query tables + probe
-    sets) is a few KiB via ``ray.put``.
-
-    ``path="precoded"`` is the 10^11-vector PRODUCTION layout: an encode
-    stage first materializes ``(vec_id, ivf_list, code_0..code_{M-1})``
-    — in a deployment that dataset is written once, partitioned by
-    ivf_list — and the SEARCH stage consumes only the codes (8 bytes of
-    payload per vector instead of the 256-byte raw embedding; with
-    ivf_list-partitioned storage the probe filter becomes a partition-
-    pruned read). ADC there is pure table lookups on stored codes.
-    Pytest pins the two paths bit-for-bit equal. Recall vs brute force
-    is pytest-bounded and pinned to beat an equal-compute
-    unrouted-subset PQ scan; full-probe composition equals q_pq_search
-    exactly."""
-    # the two sampled "models": coarse centroids and the PQ codebook
-    # (vec_id-prefix samples, FAISS-style; both fixed-point at 1e6)
-    ctbl = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", max(n_lists, PQ_K))],
-    )
-    corder = np.argsort(np.asarray(ctbl["vec_id"].to_pylist(), dtype=np.int64))
-    S = np.floor(ann._stack(ctbl["embedding"])[corder] * PQ_SCALE)
-    C_ivf, C_pq = S[:n_lists], S[:PQ_K]
-    d_sub = C_pq.shape[1] // PQ_M
-
-    q = _load_queries(sf_dir)
-    qids = np.asarray(q["ids"], dtype=np.int64)
-    Qf = np.floor(np.asarray(q["vecs"], dtype=np.float64) * PQ_SCALE)
-    # probe selection: integer query-centroid dots, stable smaller-id ties
-    probe_mat = np.argsort(-(Qf @ C_ivf.T), axis=1, kind="stable")[:, :n_probe]
-    probes = [np.sort(probe_mat[qi]).astype(np.int64) for qi in range(len(qids))]
-    wanted = np.unique(np.concatenate(probes))
-    # per-query ADC tables (nq, PQ_M, PQ_K) — exact ints in float64
-    T = np.zeros((len(qids), PQ_M, PQ_K))
-    for m in range(PQ_M):
-        qs = Qf[:, m * d_sub:(m + 1) * d_sub]
-        cs = C_pq[:, m * d_sub:(m + 1) * d_sub]
-        T[:, m, :] = ((qs * qs).sum(axis=1)[:, None]
-                      - 2.0 * (qs @ cs.T)
-                      + (cs * cs).sum(axis=1)[None, :])
-    ref = ray.put((qids, T, C_ivf, C_pq, probes, wanted))
-
-    def ivfpq_partial(b: pa.Table) -> pa.Table:
-        _qids, tables, cents, codebook, _probes, _wanted = ray.get(ref)
-        X = np.floor(ann._stack(b["embedding"]) * PQ_SCALE)
-        vec_ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lists = np.argmax(X @ cents.T, axis=1).astype(np.int64)
-        keep = np.isin(lists, _wanted)  # prune before the PQ encode
-        if not keep.any():
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "adc": pa.array([], type=pa.int64())})
-        X, vec_ids, lists = X[keep], vec_ids[keep], lists[keep]
-        dist = np.zeros((len(_qids), len(X)))
-        for m in range(PQ_M):
-            sub = X[:, m * d_sub:(m + 1) * d_sub]
-            cs = codebook[:, m * d_sub:(m + 1) * d_sub]
-            dd = ((sub * sub).sum(axis=1)[:, None]
-                  - 2.0 * (sub @ cs.T)
-                  + (cs * cs).sum(axis=1)[None, :])
-            codes = np.argmin(dd, axis=1)  # first min = smaller k
-            dist += tables[:, m, codes]
-        out_q, out_n, out_d = [], [], []
-        for qi in range(len(_qids)):
-            allowed = np.isin(lists, _probes[qi])
-            if not allowed.any():
-                continue
-            row, ids = dist[qi][allowed], vec_ids[allowed]
-            kn = min(k + 1, len(row))  # +1 survives self-exclusion
-            top = np.lexsort((ids, row))[:kn]  # ties: argpartition is arbitrary at the boundary
-            out_q.append(np.full(len(top), _qids[qi], dtype=np.int64))
-            out_n.append(ids[top])
-            out_d.append(row[top].astype(np.int64))
-        if not out_q:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "adc": pa.array([], type=pa.int64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "adc": pa.array(np.concatenate(out_d)),
-        })
-
-    def encode_stage(b: pa.Table) -> pa.Table:
-        """Production layout: (vec_id, ivf_list, codes) — written once,
-        partitioned by ivf_list, in a deployment."""
-        _, _, cents, codebook, _, _ = ray.get(ref)
-        X = np.floor(ann._stack(b["embedding"]) * PQ_SCALE)
-        cols = {
-            "vec_id": b["vec_id"].cast(pa.int64()),
-            "ivf_list": pa.array(np.argmax(X @ cents.T, axis=1).astype(np.int64)),
-        }
-        for m in range(PQ_M):
-            sub = X[:, m * d_sub:(m + 1) * d_sub]
-            cs = codebook[:, m * d_sub:(m + 1) * d_sub]
-            dd = ((sub * sub).sum(axis=1)[:, None]
-                  - 2.0 * (sub @ cs.T)
-                  + (cs * cs).sum(axis=1)[None, :])
-            cols[f"code_{m}"] = pa.array(np.argmin(dd, axis=1).astype(np.int64))
-        return pa.table(cols)
-
-    def adc_codes(b: pa.Table) -> pa.Table:
-        """The precoded SEARCH stage: ADC is pure table lookups on stored
-        codes — no raw embedding ever enters the query path."""
-        _qids, tables, _, _, _probes, _wanted = ray.get(ref)
-        lists = b["ivf_list"].to_numpy(zero_copy_only=False)
-        vec_ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = np.isin(lists, _wanted)
-        if not keep.any():
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "adc": pa.array([], type=pa.int64())})
-        codes = np.stack(
-            [b[f"code_{m}"].to_numpy(zero_copy_only=False)[keep]
-             for m in range(PQ_M)], axis=1)
-        lists, vec_ids = lists[keep], vec_ids[keep]
-        dist = np.zeros((len(_qids), len(vec_ids)))
-        for m in range(PQ_M):
-            dist += tables[:, m, codes[:, m]]
-        out_q, out_n, out_d = [], [], []
-        for qi in range(len(_qids)):
-            allowed = np.isin(lists, _probes[qi])
-            if not allowed.any():
-                continue
-            row, ids = dist[qi][allowed], vec_ids[allowed]
-            kn = min(k + 1, len(row))
-            top = np.lexsort((ids, row))[:kn]  # ties: argpartition is arbitrary at the boundary
-            out_q.append(np.full(len(top), _qids[qi], dtype=np.int64))
-            out_n.append(ids[top])
-            out_d.append(row[top].astype(np.int64))
-        if not out_q:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "adc": pa.array([], type=pa.int64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "adc": pa.array(np.concatenate(out_d)),
-        })
-
-    if path == "precoded":
-        partials = (_read_embeddings(sf_dir)
-                    .map_batches(encode_stage, batch_format="pyarrow",
-                                 batch_size=4096)
-                    .map_batches(adc_codes, batch_format="pyarrow",
-                                 batch_size=4096)
-                    .to_pandas())
-    else:
-        partials = (_read_embeddings(sf_dir)
-                    .map_batches(ivfpq_partial, batch_format="pyarrow",
-                                 batch_size=4096)
-                    .to_pandas())
-    out = []
-    for qid, g in partials.groupby("query_id"):
-        g = g[g["neighbor_id"] != qid]
-        g = g.sort_values(["adc", "neighbor_id"]).head(k).reset_index(drop=True)
-        out.append(pd.DataFrame({
-            "query_id": np.full(len(g), qid, dtype=np.int64),
-            "neighbor_id": g["neighbor_id"].to_numpy(dtype=np.int64),
-            "adc": g["adc"].to_numpy(dtype=np.int64),
-            "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-        }))
-    if not out:
-        return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                             "neighbor_id": pd.Series([], dtype="int64"),
-                             "adc": pd.Series([], dtype="int64"),
-                             "rank": pd.Series([], dtype="int64")})
-    return pd.concat(out, ignore_index=True)
+    Scale shape: ONE map_batches pass — coarse-assign the batch, drop rows
+    outside every probed list BEFORE PQ-encoding them, ADC-score survivors
+    per probing query, emit per-query partial top-k (nq*k rows per batch).
+    The closure state (coarse centroids + codebook + query tables + probe
+    sets) is a few KiB. Recall vs brute force is pytest-bounded and pinned
+    to beat an equal-compute unrouted-subset PQ scan; full-probe
+    composition equals q_pq_search exactly."""
+    C_ivf = _sampled_centroids(sf_dir, n_lists)
+    return _adc_search(sf_dir, k, lambda A: -(A @ C_ivf.T), n_probe)
 
 
 IVFPQ_RERANK_R = 30  # ADC shortlist size refined by the exact pass
@@ -3267,80 +2912,21 @@ def q_knn_ivfpq_rerank(
     of fetching r raw vectors per query.
 
     Scale shape: pass 1 is the IVF+PQ scan (codes only, partial top-r per
-    batch, nq*r driver rows); pass 2 broadcasts the (query -> candidate
-    set) map (nq*r ids, a few KiB) via ``ray.put``, filters each batch to
-    shortlist members — at deployment scale with vec_id-partitioned
-    storage this is a partition-pruned point-fetch of nq*r rows, the
-    standard 'fetch the full vectors of the shortlist' refine — and emits
-    one exact-d2 row per (query, candidate); the driver merge sorts
-    nq*r rows."""
+    batch, nq*r driver rows); pass 2 is a :func:`ann.knn_search` whose
+    "lists" are the vec_ids themselves and whose probes are each query's
+    shortlist (nq*r ids, a few KiB): each batch is filtered to shortlist
+    members — at deployment scale with vec_id-partitioned storage a
+    partition-pruned point-fetch of nq*r rows, the standard 'fetch the
+    full vectors of the shortlist' refine — and ranked by exact d2."""
     shortlist = q_knn_ivfpq(sf_dir, n_lists, n_probe, k=r)
-    if not len(shortlist):
-        return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                             "neighbor_id": pd.Series([], dtype="int64"),
-                             "d2": pd.Series([], dtype="int64"),
-                             "rank": pd.Series([], dtype="int64")})
     q = _load_queries(sf_dir)
-    qids = np.asarray(q["ids"], dtype=np.int64)
-    Qf = np.floor(np.asarray(q["vecs"], dtype=np.float64) * PQ_SCALE)
-    cand_sets = {
-        int(qid): g["neighbor_id"].to_numpy(dtype=np.int64)
-        for qid, g in shortlist.groupby("query_id")
-    }
-    all_nids = np.unique(shortlist["neighbor_id"].to_numpy(dtype=np.int64))
-    ref = ray.put((qids, Qf, cand_sets, all_nids))
-
-    def exact_partial(b: pa.Table) -> pa.Table:
-        _qids, _Qf, _cand, _nids = ray.get(ref)
-        vec_ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = np.isin(vec_ids, _nids)  # shortlist point-fetch
-        if not keep.any():
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "d2": pa.array([], type=pa.int64())})
-        X = np.floor(ann._stack(b["embedding"]) * PQ_SCALE)[keep]
-        ids = vec_ids[keep]
-        # exact integer squared L2, all terms < 2^53 in float64
-        d2 = ((X * X).sum(axis=1)[None, :]
-              - 2.0 * (_Qf @ X.T)
-              + (_Qf * _Qf).sum(axis=1)[:, None])  # (nq, n_keep)
-        out_q, out_n, out_d = [], [], []
-        for qi, qid in enumerate(_qids):
-            mine = np.isin(ids, _cand.get(int(qid), ()))
-            if not mine.any():
-                continue
-            out_q.append(np.full(int(mine.sum()), qid, dtype=np.int64))
-            out_n.append(ids[mine])
-            out_d.append(d2[qi][mine].astype(np.int64))
-        if not out_q:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "d2": pa.array([], type=pa.int64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "d2": pa.array(np.concatenate(out_d)),
-        })
-
-    exact = (_read_embeddings(sf_dir)
-             .map_batches(exact_partial, batch_format="pyarrow",
-                          batch_size=4096)
-             .to_pandas())  # <= nq*r rows by construction
-    out = []
-    for qid, g in exact.groupby("query_id"):
-        g = g.sort_values(["d2", "neighbor_id"]).head(k).reset_index(drop=True)
-        out.append(pd.DataFrame({
-            "query_id": np.full(len(g), qid, dtype=np.int64),
-            "neighbor_id": g["neighbor_id"].to_numpy(dtype=np.int64),
-            "d2": g["d2"].to_numpy(dtype=np.int64),
-            "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-        }))
-    if not out:
-        return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                             "neighbor_id": pd.Series([], dtype="int64"),
-                             "d2": pd.Series([], dtype="int64"),
-                             "rank": pd.Series([], dtype="int64")})
-    return pd.concat(out, ignore_index=True)
+    Qf = _fixed(q["vecs"])
+    sq, sn = (shortlist[c].to_numpy(dtype=np.int64) for c in ("query_id", "neighbor_id"))
+    return ann.knn_search(
+        _read_embeddings(sf_dir), q["ids"], lambda X: ann.sq_l2(Qf, X), k=k,
+        score_col="d2", embed=_fixed_rows, route=lambda _X, ids: ids,
+        probes=[sn[sq == qid] for qid in q["ids"]],
+    )
 
 
 def q_knn_ivfpq_trained(
@@ -3362,105 +2948,15 @@ def q_knn_ivfpq_trained(
     composition bit-for-bit. Ties break on smaller id; self excluded.
 
     Scale shape: N bounded-groupby training passes, then the
-    :func:`q_knn_ivfpq` search shape (broadcast bundle, route + prune
-    BEFORE the PQ encode, nq*k partial rows per batch, tiny driver
-    merge). The ``path='precoded'`` layout of q_knn_ivfpq applies
-    unchanged — at deployment the encode stage writes
-    (vec_id, trained_list, codes) partitioned by list."""
-    trained = q_kmeans_train(sf_dir, n_clusters=n_lists, n_iters=n_iters)
-    D = int(trained["dim"].max()) + 1
-    C_ivf = np.zeros((n_lists, D))
-    C_ivf[trained["cluster_id"].to_numpy(), trained["dim"].to_numpy()] = (
-        trained["c"].to_numpy(dtype=np.float64))
-    ctbl = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", PQ_K)],
-    )
-    corder = np.argsort(np.asarray(ctbl["vec_id"].to_pylist(), dtype=np.int64))
-    C_pq = np.floor(ann._stack(ctbl["embedding"])[corder] * PQ_SCALE)
-    d_sub = C_pq.shape[1] // PQ_M
+    :func:`q_knn_ivfpq` search shape (route + prune BEFORE the PQ encode,
+    nq*k partial rows per batch, tiny driver merge)."""
+    C_ivf = _trained_centroids(sf_dir, n_lists, n_iters)
+    return _adc_search(sf_dir, k, lambda A: ann.sq_l2(A, C_ivf), n_probe)
 
-    q = _load_queries(sf_dir)
-    qids = np.asarray(q["ids"], dtype=np.int64)
-    Qf = np.floor(np.asarray(q["vecs"], dtype=np.float64) * PQ_SCALE)
-    qd2 = ((Qf * Qf).sum(axis=1)[:, None] - 2.0 * (Qf @ C_ivf.T)
-           + (C_ivf * C_ivf).sum(axis=1)[None, :])
-    probe_mat = np.argsort(qd2, axis=1, kind="stable")[:, :n_probe]
-    probes = [np.sort(probe_mat[qi]).astype(np.int64) for qi in range(len(qids))]
-    wanted = np.unique(np.concatenate(probes))
-    T = np.zeros((len(qids), PQ_M, PQ_K))
-    for m in range(PQ_M):
-        qs = Qf[:, m * d_sub:(m + 1) * d_sub]
-        cs = C_pq[:, m * d_sub:(m + 1) * d_sub]
-        T[:, m, :] = ((qs * qs).sum(axis=1)[:, None]
-                      - 2.0 * (qs @ cs.T)
-                      + (cs * cs).sum(axis=1)[None, :])
-    ref = ray.put((qids, T, C_ivf, C_pq, probes, wanted))
 
-    def trained_ivfpq_partial(b: pa.Table) -> pa.Table:
-        _qids, tables, cents, codebook, _probes, _wanted = ray.get(ref)
-        X = np.floor(ann._stack(b["embedding"]) * PQ_SCALE)
-        vec_ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d2c = ((X * X).sum(axis=1)[:, None] - 2.0 * (X @ cents.T)
-               + (cents * cents).sum(axis=1)[None, :])
-        lists = np.argmin(d2c, axis=1).astype(np.int64)  # L2 routing
-        keep = np.isin(lists, _wanted)  # prune before the PQ encode
-        if not keep.any():
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "adc": pa.array([], type=pa.int64())})
-        X, vec_ids, lists = X[keep], vec_ids[keep], lists[keep]
-        dist = np.zeros((len(_qids), len(X)))
-        for m in range(PQ_M):
-            sub = X[:, m * d_sub:(m + 1) * d_sub]
-            cs = codebook[:, m * d_sub:(m + 1) * d_sub]
-            dd = ((sub * sub).sum(axis=1)[:, None]
-                  - 2.0 * (sub @ cs.T)
-                  + (cs * cs).sum(axis=1)[None, :])
-            codes = np.argmin(dd, axis=1)
-            dist += tables[:, m, codes]
-        out_q, out_n, out_d = [], [], []
-        for qi in range(len(_qids)):
-            allowed = np.isin(lists, _probes[qi])
-            if not allowed.any():
-                continue
-            row, ids = dist[qi][allowed], vec_ids[allowed]
-            kn = min(k + 1, len(row))
-            top = np.lexsort((ids, row))[:kn]  # ties: argpartition is arbitrary at the boundary
-            out_q.append(np.full(len(top), _qids[qi], dtype=np.int64))
-            out_n.append(ids[top])
-            out_d.append(row[top].astype(np.int64))
-        if not out_q:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64()),
-                             "adc": pa.array([], type=pa.int64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "adc": pa.array(np.concatenate(out_d)),
-        })
-
-    partials = (_read_embeddings(sf_dir)
-                .map_batches(trained_ivfpq_partial, batch_format="pyarrow",
-                             batch_size=4096)
-                .to_pandas())
-    out = []
-    for qid, g in partials.groupby("query_id"):
-        g = g[g["neighbor_id"] != qid]
-        g = g.sort_values(["adc", "neighbor_id"]).head(k).reset_index(drop=True)
-        out.append(pd.DataFrame({
-            "query_id": np.full(len(g), qid, dtype=np.int64),
-            "neighbor_id": g["neighbor_id"].to_numpy(dtype=np.int64),
-            "adc": g["adc"].to_numpy(dtype=np.int64),
-            "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-        }))
-    if not out:
-        return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                             "neighbor_id": pd.Series([], dtype="int64"),
-                             "adc": pd.Series([], dtype="int64"),
-                             "rank": pd.Series([], dtype="int64")})
-    return pd.concat(out, ignore_index=True)
+# ---------------------------------------------------------------------------
+# wide-op coverage: native hash join
+# ---------------------------------------------------------------------------
 
 
 def q_big_spenders(sf_dir: str) -> pd.DataFrame:
@@ -3521,37 +3017,6 @@ def q_big_spenders(sf_dir: str) -> pd.DataFrame:
     )
 
 
-def q_top_lineitems(sf_dir: str, k: int = 20) -> pd.DataFrame:
-    """Distributed top-k (sort/limit coverage): per-batch partial top-k,
-    driver merge with a total tiebreak — deterministic unlike a bare
-    sort().limit() under ties."""
-    from dstream_ray.pipelines.queries import _tuned_read
-
-    ds = _tuned_read(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_extendedprice"],
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = np.round(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        ok = b["l_orderkey"].to_numpy(zero_copy_only=False)
-        ln = b["l_linenumber"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ln, ok, -cents))[:k]
-        return pa.table(
-            {
-                "l_orderkey": pa.array(ok[order]),
-                "l_linenumber": pa.array(ln[order]),
-                "price_cents": pa.array(cents[order]),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    parts = parts.sort_values(
-        ["price_cents", "l_orderkey", "l_linenumber"], ascending=[False, True, True]
-    ).head(k)
-    return parts.reset_index(drop=True)
 
 
 def q_bpe_token_counts(sf_dir: str):

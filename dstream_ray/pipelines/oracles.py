@@ -75,7 +75,7 @@ def assert_oracle_ascii_contract(sf_dir: str) -> None:
 
 ORACLE_SQL["transcripts_feed"] = f"WITH {TRANSCRIPTS_CTE} SELECT * FROM transcripts"
 
-ORACLE_SQL["tumbling_window"] = f"""
+ORACLE_SQL["streaming_tumbling"] = f"""
 WITH {TRANSCRIPTS_CTE}
 SELECT conv_id, CAST(floor(epoch(ts)/86400) AS BIGINT) AS window_id,
        count(*) AS n_turns,
@@ -85,7 +85,7 @@ SELECT conv_id, CAST(floor(epoch(ts)/86400) AS BIGINT) AS window_id,
 FROM transcripts GROUP BY 1, 2
 """
 
-ORACLE_SQL["sliding_window"] = f"""
+ORACLE_SQL["streaming_sliding"] = f"""
 WITH {TRANSCRIPTS_CTE}, fan AS (
   SELECT conv_id, CAST(floor(epoch(ts)/86400) AS BIGINT) AS window_id, length(text) AS lc FROM transcripts
   UNION ALL
@@ -95,7 +95,7 @@ SELECT conv_id, window_id, count(*) AS n_turns, CAST(sum(lc) AS BIGINT) AS n_cha
 FROM fan GROUP BY 1, 2
 """
 
-ORACLE_SQL["session_window"] = f"""
+ORACLE_SQL["streaming_session"] = f"""
 WITH {TRANSCRIPTS_CTE}, {SESSION_CTE.format(gap_s=43200)}
 SELECT conv_id, session_id,
        count(*) AS n_turns,
@@ -107,7 +107,7 @@ SELECT conv_id, session_id,
 FROM sess GROUP BY 1, 2
 """
 
-ORACLE_SQL["stream_join"] = f"""
+ORACLE_SQL["streaming_join"] = f"""
 WITH {TRANSCRIPTS_CTE}, {SESSION_CTE.format(gap_s=43200)}, attributed AS (
   SELECT conv_id, session_id, turn_idx, role, tool,
          max(CASE WHEN role='user' THEN turn_idx END)
@@ -137,20 +137,6 @@ ORACLE_SQL["tool_usage"] = f"""
 WITH {TRANSCRIPTS_CTE}
 SELECT tool, count(*) AS n_calls, count(DISTINCT conv_id) AS n_convs
 FROM transcripts WHERE role='tool' GROUP BY 1
-"""
-
-ORACLE_SQL["events_hourly"] = """
-SELECT event_type, CAST(floor(epoch(ts)/3600) AS BIGINT) AS hour_id,
-       count(*) AS n_events,
-       CAST(sum(CAST(floor(value*100) AS BIGINT)) AS BIGINT) AS value_cents
-FROM events GROUP BY 1, 2
-"""
-
-ORACLE_SQL["lineitem_pricing"] = """
-SELECT l_returnflag, l_linestatus, count(*) AS n_rows,
-       CAST(sum(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty,
-       CAST(sum(CAST(round(l_extendedprice*100) AS BIGINT)) AS BIGINT) AS sum_price_cents
-FROM lineitem GROUP BY 1, 2
 """
 
 # --- training-data operations (documents / embeddings) --------------------
@@ -308,16 +294,9 @@ FROM (
 GROUP BY 1, 2
 """
 
-ORACLE_SQL["orders_by_segment"] = """
-SELECT c.c_mktsegment, count(*) AS n_orders,
-       CAST(sum(CAST(round(o.o_totalprice*100) AS BIGINT)) AS BIGINT) AS total_cents
-FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-GROUP BY 1
-"""
-
 # salted variants must equal their unsalted oracles exactly
-ORACLE_SQL["session_salted"] = ORACLE_SQL["session_window"]
-ORACLE_SQL["tumbling_salted"] = ORACLE_SQL["tumbling_window"]
+ORACLE_SQL["session_salted"] = ORACLE_SQL["streaming_session"]
+ORACLE_SQL["tumbling_salted"] = ORACLE_SQL["streaming_tumbling"]
 
 ORACLE_SQL["big_spenders"] = """
 WITH per_cust AS (
@@ -329,14 +308,6 @@ WITH per_cust AS (
 SELECT c_mktsegment, count(*) AS n_customers,
        CAST(sum(total_cents) AS BIGINT) AS total_cents
 FROM per_cust WHERE n_orders >= 12 GROUP BY 1
-"""
-
-ORACLE_SQL["top_lineitems"] = """
-SELECT l_orderkey, CAST(l_linenumber AS BIGINT) AS l_linenumber,
-       CAST(round(l_extendedprice*100) AS BIGINT) AS price_cents
-FROM lineitem
-ORDER BY price_cents DESC, l_orderkey, l_linenumber
-LIMIT 20
 """
 
 
@@ -389,7 +360,7 @@ FROM aug
 
 ORACLE_SQL["pii_scrub"] = _pii_scrub_oracle_sql()
 
-ORACLE_SQL["cep_pattern"] = f"""
+ORACLE_SQL["streaming_cep"] = f"""
 WITH {TRANSCRIPTS_CTE}, seqs AS (
   SELECT conv_id, string_agg(substr(role, 1, 1), '' ORDER BY turn_idx) AS seq
   FROM transcripts GROUP BY 1
@@ -411,29 +382,16 @@ SELECT event_id, user_id, ts_us,
 FROM ordered
 """
 
-ORACLE_SQL["semi_anti_orders"] = """
-WITH b AS (SELECT c_custkey FROM customer WHERE c_mktsegment='BUILDING')
-SELECT o_orderpriority,
-       CAST(count(*) FILTER (WHERE o_custkey IN (SELECT c_custkey FROM b)) AS BIGINT) AS n_semi,
-       CAST(count(*) FILTER (WHERE o_custkey NOT IN (SELECT c_custkey FROM b)) AS BIGINT) AS n_anti
-FROM orders GROUP BY 1
-"""
-
 # the streaming engine's committed sinks must equal the batch oracles exactly
 ORACLE_SQL["streaming_events"] = ORACLE_SQL["transcripts_feed"].replace(
     "SELECT * FROM transcripts",
     "SELECT conv_id, turn_idx, role, text, tool, ts FROM transcripts",
 )
-ORACLE_SQL["streaming_tumbling"] = ORACLE_SQL["tumbling_window"]
 # sinks read THROUGH per-epoch compaction (compact_every=1) must hit the
 # very same oracles — compaction is file layout, invisible to readers
 ORACLE_SQL["streaming_events_compacted"] = ORACLE_SQL["streaming_events"]
 ORACLE_SQL["streaming_events_follower"] = ORACLE_SQL["streaming_events"]
-ORACLE_SQL["streaming_tumbling_compacted"] = ORACLE_SQL["tumbling_window"]
-ORACLE_SQL["streaming_session"] = ORACLE_SQL["session_window"]
-ORACLE_SQL["streaming_join"] = ORACLE_SQL["stream_join"]
-ORACLE_SQL["streaming_sliding"] = ORACLE_SQL["sliding_window"]
-ORACLE_SQL["streaming_cep"] = ORACLE_SQL["cep_pattern"]
+ORACLE_SQL["streaming_tumbling_compacted"] = ORACLE_SQL["streaming_tumbling"]
 
 # streaming per-conv content dedup == SQL first-occurrence semantics
 # (dstream_ray.stages.capture.content_dedup_kernel through the engine)
@@ -524,37 +482,6 @@ FROM transcripts
 WINDOW w AS (PARTITION BY conv_id ORDER BY turn_idx)
 """
 
-# GROUP BY ROLLUP == finest distributive aggregate + driver-side sums over
-# the vocabulary-bounded finest result (queries.q_rollup_usage); grp is the
-# SQL GROUPING id, '(all)' the super-aggregate placeholder
-ORACLE_SQL["rollup_usage"] = f"""
-WITH {TRANSCRIPTS_CTE}
-SELECT CASE WHEN GROUPING(role) = 1 THEN '(all)' ELSE role END AS role,
-       CASE WHEN GROUPING(tool) = 1 THEN '(all)' ELSE tool END AS tool,
-       CAST(GROUPING(role) * 2 + GROUPING(tool) AS BIGINT) AS grp,
-       CAST(count(*) AS BIGINT) AS n_turns,
-       CAST(sum(length(text)) AS BIGINT) AS total_chars
-FROM transcripts
-GROUP BY ROLLUP(role, tool)
-"""
-
-# PIVOT role -> wide per-conv columns == one-hot CASE sums per conv
-# (queries.q_pivot_roles; convs never span partitions, so the per-partition
-# groupby is final — no global shuffle)
-ORACLE_SQL["pivot_roles"] = f"""
-WITH {TRANSCRIPTS_CTE}
-SELECT conv_id,
-       CAST(sum(CASE WHEN role = 'user' THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_user,
-       CAST(sum(CASE WHEN role = 'assistant' THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_assistant,
-       CAST(sum(CASE WHEN role = 'tool' THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_tool,
-       CAST(count(*) AS BIGINT) AS n_turns
-FROM transcripts
-GROUP BY conv_id
-"""
-
 # Windowed approximate-quantile sketch == exact bucket-count recomputation:
 # the DDSketch-style log-bucket id is pure integer bit arithmetic on BOTH
 # sides (numpy frexp/shift vs SQL bin()/>>/&), so every (window, bucket)
@@ -577,49 +504,6 @@ SELECT window_id,
        CAST(count(*) AS BIGINT) AS n
 FROM v GROUP BY 1, 2
 """.format(TRANSCRIPTS_CTE=TRANSCRIPTS_CTE)
-
-# Ordered funnel == chained first-occurrence-after-previous-stage minima
-# (queries.q_funnel_stages; per-user-partition counts sum globally)
-ORACLE_SQL["funnel_stages"] = """
-WITH s1 AS (
-  SELECT user_id, MIN(epoch_us(ts)) AS t1 FROM events
-  WHERE event_type = 'signup' GROUP BY 1
-), s2 AS (
-  SELECT e.user_id, MIN(epoch_us(e.ts)) AS t2
-  FROM events e JOIN s1 USING (user_id)
-  WHERE e.event_type = 'click' AND epoch_us(e.ts) > s1.t1 GROUP BY 1
-), s3 AS (
-  SELECT e.user_id, MIN(epoch_us(e.ts)) AS t3
-  FROM events e JOIN s2 USING (user_id)
-  WHERE e.event_type = 'purchase' AND epoch_us(e.ts) > s2.t2 GROUP BY 1
-)
-SELECT 'signup' AS stage, CAST(1 AS BIGINT) AS stage_idx,
-       CAST((SELECT count(*) FROM s1) AS BIGINT) AS n_users
-UNION ALL
-SELECT 'click', CAST(2 AS BIGINT), CAST((SELECT count(*) FROM s2) AS BIGINT)
-UNION ALL
-SELECT 'purchase', CAST(3 AS BIGINT), CAST((SELECT count(*) FROM s3) AS BIGINT)
-"""
-
-# Cohort retention == first-active-day cohorts joined back to distinct
-# (user, day) actives (queries.q_cohort_retention; per-user-partition
-# distinct counts sum globally because the user hash key co-locates
-# each user's whole history)
-ORACLE_SQL["cohort_retention"] = """
-WITH f AS (
-  SELECT user_id,
-         CAST(epoch_us(ts) // (CAST(86400 AS BIGINT) * 1000000) AS BIGINT)
-           AS day
-  FROM events
-), fd AS (
-  SELECT user_id, MIN(day) AS cohort_day FROM f GROUP BY 1
-), act AS (
-  SELECT DISTINCT f.user_id, fd.cohort_day, f.day - fd.cohort_day AS day_offset
-  FROM f JOIN fd USING (user_id)
-)
-SELECT cohort_day, day_offset, CAST(count(*) AS BIGINT) AS n_users
-FROM act GROUP BY 1, 2
-"""
 
 # Gaps-and-islands session labels == nested window functions: session_id
 # is a running count of gap-starts, position a row_number within (conv,
@@ -2036,9 +1920,9 @@ ORACLE_SQL["streaming_scrub"] = ORACLE_SQL["pii_scrub"]
 
 # watermark-closure engine runs hit the same content oracles — early
 # emission must not change the committed results
-ORACLE_SQL["streaming_tumbling_wm"] = ORACLE_SQL["tumbling_window"]
-ORACLE_SQL["streaming_session_wm"] = ORACLE_SQL["session_window"]
-ORACLE_SQL["streaming_join_wm"] = ORACLE_SQL["stream_join"]
+ORACLE_SQL["streaming_tumbling_wm"] = ORACLE_SQL["streaming_tumbling"]
+ORACLE_SQL["streaming_session_wm"] = ORACLE_SQL["streaming_session"]
+ORACLE_SQL["streaming_join_wm"] = ORACLE_SQL["streaming_join"]
 
 # exact token-length quantiles per language: quantile_disc == the engine's
 # histogram-cumsum read-off (value at sorted position ceil(q*n))

@@ -22,8 +22,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from dstream_ray import common as _common
@@ -40,13 +38,6 @@ from dstream_ray.pipelines.oracles import (
 from dstream_ray.sources.transcripts import (
     ORACLE_PARTITIONS,
     events_to_transcripts_table,
-)
-from dstream_ray.stages.windows import (
-    session_join_kernel,
-    session_kernel,
-    sliding_kernel,
-    to_residual_rows,
-    tumbling_kernel,
 )
 
 register_pickle_by_value()
@@ -113,27 +104,10 @@ def q_transcripts_feed(sf_dir: str) -> rd.Dataset:
     return _per_partition(sf_dir, lambda t: t)
 
 
-def _window_query(kernel, **params) -> Callable[[str], rd.Dataset]:
-    def run(sf_dir: str) -> rd.Dataset:
-        def fn(transcripts: pa.Table) -> pa.Table:
-            out, _ = kernel(to_residual_rows(transcripts), {}, flush=True, **params)
-            return out
-
-        return _per_partition(sf_dir, fn)
-
-    return run
-
-
-q_tumbling_window = _window_query(tumbling_kernel, width_s=TUMBLING_S)
-q_sliding_window = _window_query(sliding_kernel, width_s=SLIDING_W_S, slide_s=SLIDING_S_S)
-q_session_window = _window_query(session_kernel, gap_s=SESSION_GAP_S)
-q_stream_join = _window_query(session_join_kernel, gap_s=SESSION_GAP_S)
-
-
 def q_session_salted(sf_dir: str) -> rd.Dataset:
     """Session windows via HOT-KEY SALTING (two-phase): chunk mega-convs by
     turn ranges, sessionize chunks in parallel, merge island summaries.
-    Same oracle as session_window — outputs must be identical."""
+    Same oracle as streaming_session — outputs must be identical."""
     from dstream_ray.stages.salted import salted_session_windows
 
     # chunk_turns small so even testdata convs exercise the merge path
@@ -145,7 +119,7 @@ def q_session_salted(sf_dir: str) -> rd.Dataset:
 def q_tumbling_salted(sf_dir: str) -> pd.DataFrame:
     """Tumbling windows via the pre-aggregation (skew-proof) pattern:
     per-batch partial counts per (conv, window) — no conv co-location —
-    then a groupby over the partials. Same oracle as tumbling_window."""
+    then a groupby over the partials. Same oracle as streaming_tumbling."""
     ds = q_transcripts_feed(sf_dir)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -169,9 +143,7 @@ def q_tumbling_salted(sf_dir: str) -> pd.DataFrame:
         # string conv_id via groupby().aggregate() cost ~15x the kernel route
         # (BENCH_r01); one int-keyed shuffle + a vectorized combine per
         # partition keeps the skew-proof shape at ~groupby(int) cost
-        from dstream_ray.common import fnv1a_u64
-
-        g["gpart"] = (fnv1a_u64(g["conv_id"].tolist()) % np.uint64(64)).astype(np.int32)
+        g["gpart"] = (_common.fnv1a_u64(g["conv_id"].tolist()) % np.uint64(64)).astype(np.int32)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -256,313 +228,9 @@ def q_tool_usage(sf_dir: str) -> pd.DataFrame:
     )
 
 
-def q_rollup_usage(sf_dir: str) -> pd.DataFrame:
-    """GROUP BY ROLLUP(role, tool): per-(role, tool) usage plus the (role)
-    and grand-total super-aggregate rows, `grp` = SQL GROUPING id.
-
-    Scale shape: the finest level aggregates distributively (per-partition
-    partials -> one small groupby over role x tool, bounded by vocabulary,
-    not corpus); the super-aggregates are then pure sums OVER THE FINEST
-    RESULT, computed on the driver over that vocabulary-bounded table —
-    never a second pass over the data."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        df = pa.table({
-            "role": t["role"],
-            "tool": t["tool"],
-            "n_chars": pc.cast(pc.utf8_length(t["text"]), pa.int64()),
-        }).to_pandas()
-        g = df.groupby(["role", "tool"], as_index=False).agg(
-            n_turns=("role", "size"), total_chars=("n_chars", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    finest = (
-        _per_partition(sf_dir, fn)
-        .groupby(["role", "tool"])
-        .aggregate(Sum("n_turns", alias_name="n_turns"),
-                   Sum("total_chars", alias_name="total_chars"))
-        .to_pandas()  # vocabulary-bounded: |roles| x |tools| rows
-    )
-    finest["grp"] = 0
-    by_role = finest.groupby("role", as_index=False).agg(
-        n_turns=("n_turns", "sum"), total_chars=("total_chars", "sum")
-    )
-    by_role["tool"] = "(all)"
-    by_role["grp"] = 1
-    total = pd.DataFrame({
-        "role": ["(all)"], "tool": ["(all)"], "grp": [3],
-        "n_turns": [finest["n_turns"].sum()],
-        "total_chars": [finest["total_chars"].sum()],
-    })
-    out = pd.concat([finest, by_role, total], ignore_index=True)
-    out["grp"] = out["grp"].astype(np.int64)
-    return out[["role", "tool", "grp", "n_turns", "total_chars"]]
-
-
-def q_pivot_roles(sf_dir: str) -> pd.DataFrame:
-    """PIVOT role -> wide per-conv columns (n_user/n_assistant/n_tool/
-    n_turns): the one-hot partial aggregates inside map_batches and convs
-    never span partitions, so one per-partition groupby IS the final
-    answer — no global shuffle at any corpus size."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        role = np.asarray(t["role"].to_pandas())
-        df = pd.DataFrame({
-            "conv_id": t["conv_id"].to_pandas(),
-            "n_user": (role == "user").astype(np.int64),
-            "n_assistant": (role == "assistant").astype(np.int64),
-            "n_tool": (role == "tool").astype(np.int64),
-        })
-        g = df.groupby("conv_id", as_index=False).agg(
-            n_user=("n_user", "sum"), n_assistant=("n_assistant", "sum"),
-            n_tool=("n_tool", "sum"), n_turns=("n_user", "size"),
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return _per_partition(sf_dir, fn).to_pandas()
-
-
 # ---------------------------------------------------------------------------
-# generic event-stream analytics (pre-aggregation pattern)
+# relational operators over the events stream (hash-shuffle on user_id)
 # ---------------------------------------------------------------------------
-
-
-def q_events_hourly(sf_dir: str) -> pd.DataFrame:
-    """Tumbling hourly window over the raw events stream, integer-cent value sums
-    (floats are kept out of oracle-compared outputs by design)."""
-    ds = _tuned_read(os.path.join(sf_dir, "events.parquet"),
-                     columns=["ts", "event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        hour = ts // 3_600_000_000
-        val_cents = np.floor(
-            batch["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "event_type": batch["event_type"].to_pandas(),
-                "hour_id": hour,
-                "v": val_cents,
-            }
-        )
-        g = df.groupby(["event_type", "hour_id"], as_index=False).agg(
-            n_events=("v", "size"), value_cents=("v", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "hour_id"])
-        .aggregate(Sum("n_events", alias_name="n_events"), Sum("value_cents", alias_name="value_cents"))
-        .to_pandas()
-    )
-
-
-# ---------------------------------------------------------------------------
-# relational demos (wide-op coverage: groupby / broadcast join)
-# ---------------------------------------------------------------------------
-
-
-def q_lineitem_pricing(sf_dir: str) -> pd.DataFrame:
-    """TPC-H Q1-shaped aggregate, integer-cent money."""
-    ds = _tuned_read(os.path.join(sf_dir, "lineitem.parquet"),
-                     columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "l_returnflag": batch["l_returnflag"].to_pandas(),
-                "l_linestatus": batch["l_linestatus"].to_pandas(),
-                "qty": batch["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "price_cents": np.round(
-                    batch["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-                ).astype(np.int64),
-            }
-        )
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            n_rows=("qty", "size"), sum_qty=("qty", "sum"), sum_price_cents=("price_cents", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("n_rows", alias_name="n_rows"),
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_price_cents", alias_name="sum_price_cents"),
-        )
-        .to_pandas()
-    )
-
-
-def q_orders_by_segment(sf_dir: str) -> pd.DataFrame:
-    """orders ⋈ customer via broadcast of the small side (no shuffle join):
-    the dimension table is ray.put once and read per batch."""
-    cust = pq.read_table(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_mktsegment"]
-    )
-    seg_by_key_ref = ray.put(
-        dict(
-            zip(
-                cust["c_custkey"].to_numpy(zero_copy_only=False),
-                cust["c_mktsegment"].to_pandas(),
-            )
-        )
-    )
-    ds = _tuned_read(os.path.join(sf_dir, "orders.parquet"),
-                     columns=["o_custkey", "o_totalprice"])
-
-    class Joiner:
-        def __init__(self):
-            self.seg = ray.get(seg_by_key_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keys = batch["o_custkey"].to_numpy(zero_copy_only=False)
-            seg = pd.Series(keys).map(self.seg)
-            cents = np.round(
-                batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            df = pd.DataFrame({"c_mktsegment": seg, "cents": cents})
-            g = df.groupby("c_mktsegment", as_index=False).agg(
-                n_orders=("cents", "size"), total_cents=("cents", "sum")
-            )
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(Joiner, batch_format="pyarrow", concurrency=2)
-        .groupby("c_mktsegment")
-        .aggregate(Sum("n_orders", alias_name="n_orders"), Sum("total_cents", alias_name="total_cents"))
-        .to_pandas()
-    )
-
-
-def q_cep_pattern(sf_dir: str) -> rd.Dataset:
-    """CEP sequence-pattern counts per conversation (pattern 'ua*tt' over
-    role initials in turn order). Fused with the feed derivation — still one
-    shuffle."""
-    from dstream_ray.stages.cep import cep_pattern_kernel
-
-    # 'ua*t' (user, any assistants, tool) fires on the periodic testdata
-    # roles; the stricter default 'ua*tt' is exercised in the kernel tests
-    return _per_partition(sf_dir, lambda t: cep_pattern_kernel(t, pattern="ua*t"))
-
-
-def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
-    """Cohort retention matrix over the events stream: users cohort by
-    first-active day; each (cohort_day, day_offset) cell counts DISTINCT
-    users active that many days after their cohort day.
-
-    Scale shape: one hash exchange on user_id (the same ORACLE_PARTITIONS
-    key every events operator reuses) co-locates each user's history; the
-    per-partition pass computes first-day + distinct (user, day) actives
-    vectorized, and because a user lives in exactly ONE partition the
-    per-partition distinct counts SUM to the global answer — the only
-    cross-partition traffic is the (days × offsets)-bounded cell table."""
-    ds = _tuned_read(os.path.join(sf_dir, "events.parquet"),
-                     columns=["user_id", "ts"])
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "partition_id", pa.array((uid % ORACLE_PARTITIONS).astype(np.int32))
-        )
-
-    def cohortize(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        day = group["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // (
-            86_400 * 1_000_000
-        )
-        df = pd.DataFrame({"uid": uid, "day": day}).drop_duplicates()
-        first = (df.groupby("uid", as_index=False)["day"].min()
-                 .rename(columns={"day": "cohort_day"}))
-        m = df.merge(first, on="uid")
-        m["day_offset"] = m["day"] - m["cohort_day"]
-        # (uid, day) is distinct, so each user hits a cell at most once:
-        # per-cell size == per-cell distinct users
-        g = m.groupby(["cohort_day", "day_offset"], as_index=False).agg(
-            n_users=("uid", "size")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(cohortize, batch_format="pyarrow")
-        .groupby(["cohort_day", "day_offset"])
-        .aggregate(Sum("n_users", alias_name="n_users"))
-        .to_pandas()
-    )
-    return out.sort_values(["cohort_day", "day_offset"]).reset_index(drop=True)
-
-
-def q_funnel_stages(sf_dir: str) -> pd.DataFrame:
-    """Ordered funnel over the events stream: how many users complete
-    signup → click-after-signup → purchase-after-that-click, where each
-    stage is the user's FIRST occurrence strictly after the previous
-    stage's time.
-
-    Scale shape: the same user-hash exchange as every events operator;
-    within a partition the three stage times chain through vectorized
-    pandas min/merge/filter passes (no per-user Python), and because a
-    user lives in exactly one partition the per-partition completion
-    counts SUM globally — each partition ships exactly 3 rows."""
-    ds = _tuned_read(os.path.join(sf_dir, "events.parquet"),
-                     columns=["user_id", "ts", "event_type"])
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "partition_id", pa.array((uid % ORACLE_PARTITIONS).astype(np.int32))
-        )
-
-    STAGES = ["signup", "click", "purchase"]
-
-    def funnel(group: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "uid": group["user_id"].to_numpy(zero_copy_only=False),
-            "ts": group["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
-            "et": group["event_type"].to_pandas(),
-        })
-        prev = None  # Series: uid -> previous stage's first time
-        counts = []
-        for et in STAGES:
-            sub = df[df["et"] == et]
-            if prev is not None:
-                prev_ts = sub["uid"].map(prev)
-                sub = sub[sub["ts"] > prev_ts.fillna(np.inf)]
-            cur = sub.groupby("uid")["ts"].min()
-            counts.append(len(cur))
-            prev = cur
-        return pa.table({
-            "stage": pa.array(STAGES),
-            "stage_idx": pa.array(np.arange(1, len(STAGES) + 1)),
-            "n_users": pa.array(np.asarray(counts, dtype=np.int64)),
-        })
-
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(funnel, batch_format="pyarrow")
-        .groupby(["stage", "stage_idx"])
-        .aggregate(Sum("n_users", alias_name="n_users"))
-        .to_pandas()
-    )
-    return out.sort_values("stage_idx").reset_index(drop=True)
 
 
 def q_asof_join(sf_dir: str) -> rd.Dataset:
@@ -614,49 +282,6 @@ def q_asof_join(sf_dir: str) -> rd.Dataset:
         ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("partition_id")
         .map_groups(asof, batch_format="pyarrow")
-    )
-
-
-def q_semi_anti_orders(sf_dir: str) -> pd.DataFrame:
-    """Semi/anti join via BROADCAST key set (guide pattern: broadcast the
-    small side's keys — or a Bloom filter of them — and filter in
-    map_batches; no shuffle): orders split into those whose customer is in
-    the BUILDING segment (semi) vs not (anti), aggregated per order
-    priority."""
-    cust = pq.read_table(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_mktsegment"]
-    )
-    seg = np.asarray(cust["c_mktsegment"].to_pylist(), dtype=object)
-    keys = cust["c_custkey"].to_numpy(zero_copy_only=False)[seg == "BUILDING"]
-    key_ref = ray.put(np.sort(keys))
-    ds = _tuned_read(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderpriority"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        kset = ray.get(key_ref)
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        hit = kset[np.clip(np.searchsorted(kset, ck), 0, len(kset) - 1)] == ck if len(kset) else np.zeros(len(ck), bool)
-        df = pd.DataFrame(
-            {
-                "o_orderpriority": batch["o_orderpriority"].to_pandas(),
-                "semi": hit.astype(np.int64),
-                "anti": (~hit).astype(np.int64),
-            }
-        )
-        g = df.groupby("o_orderpriority", as_index=False).agg(
-            n_semi=("semi", "sum"), n_anti=("anti", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(Sum("n_semi", alias_name="n_semi"), Sum("n_anti", alias_name="n_anti"))
-        .to_pandas()
     )
 
 

@@ -66,8 +66,10 @@ _MAX_SPLIT_READS = 512
 def parse_envelope_lines(lines: list[str]) -> pa.Table:
     """JSON-line envelopes -> transcript-shaped feed table.
 
-    Malformed lines are kept with conv_id=None so the engine's quarantine
-    filter routes them (≙ the E2E harness dropping non-JSON lines)."""
+    Malformed lines — not JSON, no ``metadata.TableName``, or a ``data``
+    that is not a column -> value object (null, a number, a string, an
+    array) — are kept with conv_id=None so the engine's quarantine filter
+    routes them (≙ the E2E harness dropping non-JSON lines)."""
     recs = []
     for line in lines:
         line = line.strip()
@@ -77,6 +79,8 @@ def parse_envelope_lines(lines: list[str]) -> pa.Table:
             env = json.loads(line)
             meta = env["metadata"]
             data = env["data"]
+            if not isinstance(data, dict):  # data is a column -> value map
+                raise TypeError(f"envelope data is {type(data).__name__}")
             recs.append(
                 {
                     "table": str(meta["TableName"]),

@@ -1,13 +1,13 @@
 """Similarity search over embedding columns (``list<float>``).
 
-- Brute-force cosine top-k: the broadcast pattern — the (small) query matrix
-  is ``ray.put`` once; every batch does one float64 matmul against it and
-  emits per-batch partial top-k; the driver merges partials (k × queries
-  rows, tiny). No shuffle.
-- LSH-bucketed variant: random-hyperplane signatures (seeded, identical
-  across actors) block the corpus; search touches only colliding buckets —
-  the scale path for 10^10-vector corpora. Recall vs brute force is
+- :func:`knn_search` is every k-NN query's pipeline: each batch emits a
+  partial top-k per query (:func:`topk_rows`) and the driver merges the
+  partials (k × queries rows, tiny) with :func:`merge_topk`. No shuffle.
+  With LSH or IVF lists each query only scans the lists it probes — the
+  scale path for 10^10-vector corpora. Recall vs brute force is
   pytest-checked.
+- Product quantization: :func:`pq_encode`, :func:`adc_tables` and
+  :func:`adc_scores`, exact on the family's fixed-point integers.
 """
 
 from __future__ import annotations
@@ -38,59 +38,124 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
-class BruteForceTopK:
-    """map_batches stage: per-batch cosine top-k against broadcast queries."""
+def topk_rows(scores: np.ndarray, ids: np.ndarray, k: int, mask=None) -> np.ndarray:
+    """Indices of the ``k`` smallest ``(score, id)`` pairs, in that order.
 
-    def __init__(self, queries_ref, k: int = 10):
-        q = ray.get(queries_ref) if not isinstance(queries_ref, dict) else queries_ref
-        self.query_ids = np.asarray(q["ids"])
-        self.Q = normalize_rows(np.asarray(q["vecs"], dtype=np.float64))
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vec_ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        M = normalize_rows(_stack(batch["embedding"]))
-        sims = self.Q @ M.T  # (nq, nb)
-        out_q, out_n, out_s = [], [], []
-        k = min(self.k + 1, sims.shape[1])
-        for qi in range(sims.shape[0]):
-            row = sims[qi]
-            # full deterministic order: argpartition picks ARBITRARY tied
-            # members at the cut boundary (adversarial duplicate vectors)
-            top = np.lexsort((vec_ids, -row))[:k]
-            out_q.append(np.full(len(top), self.query_ids[qi]))
-            out_n.append(vec_ids[top])
-            out_s.append(row[top])
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                "neighbor_id": pa.array(np.concatenate(out_n)),
-                "cos": pa.array(np.concatenate(out_s)),
-            }
-        )
+    ``np.partition`` finds the k-th score in O(n); only the rows at or below
+    it are ``np.lexsort``-ed, so a tie at the cut still keeps the smaller id
+    (partitioning alone picks arbitrary tied members there). ``mask``
+    restricts the candidate rows. Scores are finite; cosine callers pass
+    ``-cos``."""
+    idx = np.arange(len(scores)) if mask is None else np.flatnonzero(mask)
+    if len(idx) > k:
+        s = scores[idx]
+        idx = idx[s <= np.partition(s, k - 1)[k - 1]]
+    return idx[np.lexsort((ids[idx], scores[idx]))[:k]]
 
 
-def merge_topk(partials: pd.DataFrame, k: int = 10) -> pd.DataFrame:
-    """Driver-side merge of per-batch partial top-k -> final (query, rank)."""
-    out = []
-    for qid, g in partials.groupby("query_id"):
-        g = g[g["neighbor_id"] != qid]
-        g = g.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        out.append(
-            pd.DataFrame(
-                {
-                    "query_id": np.full(len(g), qid, dtype=np.int64),
-                    "neighbor_id": g["neighbor_id"].to_numpy(dtype=np.int64),
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                }
-            )
-        )
-    return (
-        pd.concat(out, ignore_index=True)
-        if out
-        else pd.DataFrame({"query_id": [], "neighbor_id": [], "rank": []})
-    )
+def merge_topk(partials: pd.DataFrame, k: int, *, score: str,
+               keep_score: bool = False) -> pd.DataFrame:
+    """Driver merge of partial top-k rows into the final ranking: drop
+    self-matches (query vectors are corpus vectors), order each query's rows
+    by ``(score, neighbor_id)``, keep the first ``k`` and number them as
+    ``rank`` from 1. ``keep_score`` keeps the score as int64 (the ANN
+    family's exact fixed-point distances)."""
+    cols = ["query_id", "neighbor_id"] + ([score] if keep_score else []) + ["rank"]
+    if partials.empty:
+        return pd.DataFrame({c: pd.Series([], dtype="int64") for c in cols})
+    p = partials[partials["neighbor_id"] != partials["query_id"]]
+    p = p.sort_values(["query_id", score, "neighbor_id"]).groupby("query_id").head(k)
+    out = pd.DataFrame({
+        "query_id": p["query_id"].to_numpy(dtype=np.int64),
+        "neighbor_id": p["neighbor_id"].to_numpy(dtype=np.int64),
+    })
+    if keep_score:
+        out[score] = p[score].to_numpy(dtype=np.int64)
+    out["rank"] = p.groupby("query_id").cumcount().to_numpy(dtype=np.int64) + 1
+    return out
+
+
+def knn_search(ds, query_ids, score, *, k: int, score_col: str | None = None,
+               embed=_stack, route=None, probes=None) -> pd.DataFrame:
+    """The ANN family's one search pipeline: one ``map_batches`` pass that
+    emits a partial top-k per query and batch, then :func:`merge_topk`.
+
+    Each batch's embedding column goes through ``embed`` (raw float64 rows by
+    default). With ``route`` — (embedded rows, vec ids) -> list ids — rows in
+    no list of ``probes`` (per query, the list ids it searches) are dropped
+    before any distance work, and each query only ranks its own lists.
+    ``score`` gives the survivors' (n_queries, n_rows) distances, smaller is
+    nearer. ``score_col`` names an exact integer distance to keep in the
+    output; without it the score is ``-cos`` and only ranks. The query-side
+    state (query matrix, tables, probes) is a few KiB and ships in the task
+    closure: a second actor pool here would starve small sessions."""
+    query_ids = np.asarray(query_ids, dtype=np.int64)
+    wanted = None if probes is None else np.unique(np.concatenate(probes))
+    col = score_col or "neg_cos"
+
+    def search(batch: pa.Table) -> pa.Table:
+        X = embed(batch["embedding"])
+        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        masks = [None] * len(query_ids)
+        if route is not None:
+            lists = route(X, ids)
+            keep = np.isin(lists, wanted)
+            X, ids, lists = X[keep], ids[keep], lists[keep]
+            masks = [np.isin(lists, p) for p in probes]
+        D = score(X)
+        # k + 1: the merge drops the query's own row
+        tops = [topk_rows(D[qi], ids, k + 1, masks[qi]) for qi in range(len(query_ids))]
+        qi = np.repeat(np.arange(len(tops)), [len(t) for t in tops]).astype(np.int64)
+        top = np.concatenate([np.empty(0, dtype=np.int64), *tops])
+        return pa.table({
+            "query_id": pa.array(query_ids[qi]),
+            "neighbor_id": pa.array(ids[top]),
+            col: pa.array(D[qi, top].astype(np.float64)),
+        })
+
+    partials = (ds.map_batches(search, batch_format="pyarrow", batch_size=4096)
+                .to_pandas())
+    return merge_topk(partials, k, score=col, keep_score=score_col is not None)
+
+
+def sq_l2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) squared L2 distances. On the family's fixed-point
+    vectors (``floor(x * 1e6)``) every term is an integer below 2^53, so the
+    float64 result is exact and equals DuckDB's BIGINT arithmetic."""
+    return ((A * A).sum(axis=1)[:, None] - 2.0 * (A @ B.T)
+            + (B * B).sum(axis=1)[None, :])
+
+
+def _subspaces(codebook: np.ndarray, n_sub: int):
+    d = codebook.shape[1] // n_sub
+    return [slice(m * d, (m + 1) * d) for m in range(n_sub)]
+
+
+def pq_encode(X: np.ndarray, codebook: np.ndarray, n_sub: int):
+    """Product-quantization codes of the rows of ``X``: per sub-space, the
+    nearest codeword of that slice of ``codebook`` (first minimum, so the
+    smaller codeword id wins ties). Returns the (n, n_sub) int64 codes and
+    each row's summed squared quantization error."""
+    codes = np.empty((len(X), n_sub), dtype=np.int64)
+    err = np.zeros(len(X), dtype=np.int64)
+    for m, sl in enumerate(_subspaces(codebook, n_sub)):
+        dd = sq_l2(X[:, sl], codebook[:, sl])
+        codes[:, m] = np.argmin(dd, axis=1)
+        err += dd[np.arange(len(X)), codes[:, m]].astype(np.int64)
+    return codes, err
+
+
+def adc_tables(Q: np.ndarray, codebook: np.ndarray, n_sub: int) -> np.ndarray:
+    """Per-query ADC lookup tables (n_queries, n_sub, n_codewords): squared
+    L2 from each query sub-vector to every codeword of its sub-space."""
+    return np.stack([sq_l2(Q[:, sl], codebook[:, sl])
+                     for sl in _subspaces(codebook, n_sub)], axis=1)
+
+
+def adc_scores(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """(n_queries, n_rows) ADC distances: per query, the sum over sub-spaces
+    of the table entries the rows' codes select."""
+    return tables[:, np.arange(codes.shape[1]), codes].sum(axis=-1)
 
 
 class HyperplaneLSH:
@@ -130,63 +195,6 @@ class HyperplaneLSH:
         )
 
 
-class ProbedTopK:
-    """map_batches stage: per-batch cosine top-k where each query only sees
-    corpus rows whose bucket is in that query's probe set.
-
-    The broadcast is tiny (query matrix + per-query probe lists via
-    ``ray.put``); each batch does ONE matmul against all queries and masks
-    sims per query by bucket membership — the cluster-side replacement for
-    the former driver-side ``.to_pandas()`` + per-query loop. Emits partial
-    (query_id, neighbor_id, cos) rows; merge with :func:`merge_topk`."""
-
-    def __init__(self, queries_ref, probes_ref, *, bucket_col: str, k: int = 10):
-        q = ray.get(queries_ref) if not isinstance(queries_ref, dict) else queries_ref
-        probes = ray.get(probes_ref) if not isinstance(probes_ref, dict) else probes_ref
-        self.query_ids = np.asarray(q["ids"])
-        self.Q = normalize_rows(np.asarray(q["vecs"], dtype=np.float64))
-        # per-query probe arrays (sorted, for np.isin fast path)
-        self.probes = [
-            np.asarray(sorted(probes[int(qid)]), dtype=np.int64)
-            for qid in self.query_ids
-        ]
-        self.bucket_col = bucket_col
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vec_ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        buckets = batch[self.bucket_col].to_numpy(zero_copy_only=False)
-        M = normalize_rows(_stack(batch["embedding"]))
-        sims = self.Q @ M.T  # (nq, nb)
-        out_q, out_n, out_s = [], [], []
-        for qi in range(sims.shape[0]):
-            allowed = np.isin(buckets, self.probes[qi])
-            if not allowed.any():
-                continue
-            row = sims[qi][allowed]
-            ids = vec_ids[allowed]
-            k = min(self.k + 1, len(row))  # +1 survives self-exclusion
-            top = np.lexsort((ids, -row))[:k]  # ties: argpartition is arbitrary at the boundary
-            out_q.append(np.full(len(top), self.query_ids[qi]))
-            out_n.append(ids[top])
-            out_s.append(row[top])
-        if not out_q:
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    "neighbor_id": pa.array([], type=pa.int64()),
-                    "cos": pa.array([], type=pa.float64()),
-                }
-            )
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q).astype(np.int64)),
-                "neighbor_id": pa.array(np.concatenate(out_n).astype(np.int64)),
-                "cos": pa.array(np.concatenate(out_s)),
-            }
-        )
-
-
 def cosine_neardup_group(group: pd.DataFrame, *, tau: float = 0.95) -> pd.DataFrame:
     """Pairs with cosine >= tau inside one LSH bucket (or label block)."""
     ids = group["vec_id"].to_numpy(dtype=np.int64)
@@ -215,8 +223,6 @@ def kmeans_distributed(
     (the head-sample variant in dataops._kmeans_lite is the cheap default).
     Rows assign by cosine on normalized vectors; empty centroids keep their
     previous position. Deterministic given (seed, data order)."""
-    import ray as _ray
-
     head = []
     need = sample_rows
     for batch in ds.iter_batches(batch_size=min(sample_rows, 4096), batch_format="pyarrow"):
@@ -224,27 +230,25 @@ def kmeans_distributed(
         need -= batch.num_rows
         if need <= 0:
             break
-    import pyarrow as _pa
-
-    sample = normalize_rows(_stack(_pa.concat_tables(head)["embedding"])[:sample_rows])
+    sample = normalize_rows(_stack(pa.concat_tables(head)["embedding"])[:sample_rows])
     rng = np.random.default_rng(seed)
     C = sample[rng.choice(len(sample), size=min(k, len(sample)), replace=False)].copy()
 
     for _ in range(iters):
-        c_ref = _ray.put(C)
+        c_ref = ray.put(C)
 
-        def partial(b: _pa.Table) -> _pa.Table:
-            cents = _ray.get(c_ref)
+        def partial(b: pa.Table) -> pa.Table:
+            cents = ray.get(c_ref)
             M = normalize_rows(_stack(b["embedding"]))
             assign = np.argmax(M @ cents.T, axis=1)
             uniq = np.unique(assign)
             sums = np.stack([M[assign == u].sum(axis=0) for u in uniq])
             counts = np.array([(assign == u).sum() for u in uniq], dtype=np.int64)
-            return _pa.table(
+            return pa.table(
                 {
-                    "cid": _pa.array(uniq.astype(np.int64)),
-                    "vsum": _pa.array(list(sums), type=_pa.list_(_pa.float64())),
-                    "n": _pa.array(counts),
+                    "cid": pa.array(uniq.astype(np.int64)),
+                    "vsum": pa.array(list(sums), type=pa.list_(pa.float64())),
+                    "n": pa.array(counts),
                 }
             )
 

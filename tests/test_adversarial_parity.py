@@ -17,7 +17,13 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from tools.parity_check import normalize, to_pandas, value_hash
+from tools.parity_check import (
+    LIBRARY_QUERIES,
+    library_query,
+    normalize,
+    to_pandas,
+    value_hash,
+)
 
 ADVERSARIAL_QUERIES = [
     "doc_stats",
@@ -61,57 +67,13 @@ ADVERSARIAL_QUERIES = [
 
 
 def _queries_and_oracles():
-    """Driver-visible queries plus the library-only oracle-checked ones
-    (q_doc_fingerprint ceded its grading slot but keeps local parity)."""
+    """Driver-visible queries plus the library-only oracle-checked ones."""
     import __ray_entry__ as entry
 
-    from dstream_ray.pipelines import dataops
     from dstream_ray.pipelines.oracles import ORACLE_SQL
 
     qs = dict(entry.queries())
-    qs.setdefault("doc_fingerprint", dataops.q_doc_fingerprint)
-    qs.setdefault("embedding_norms", dataops.q_embedding_norms)
-    qs.setdefault("text_normalize", dataops.q_text_normalize)
-    qs.setdefault("dedup_exact", dataops.q_dedup_exact)
-    qs.setdefault("cms_tokens", dataops.q_cms_tokens)
-    qs.setdefault("tfidf_top_terms", dataops.q_tfidf_top_terms)
-    qs.setdefault("pii_scrub", dataops.q_pii_scrub)
-    qs.setdefault("repetition_stats", dataops.q_repetition_stats)
-    qs.setdefault("decontamination", dataops.q_decontamination)
-    qs.setdefault("curation_v2", dataops.q_curation_v2)
-    qs.setdefault("mixture_sample", dataops.q_mixture_sample)
-    qs.setdefault("substring_dedup", dataops.q_substring_dedup)
-    qs.setdefault("quality_classify", dataops.q_quality_classify)
-    qs.setdefault("domain_filter", dataops.q_domain_filter)
-    qs.setdefault("stratified_split", dataops.q_stratified_split)
-    qs.setdefault("line_dedup", dataops.q_line_dedup)
-    qs.setdefault("inverted_index", dataops.q_inverted_index)
-    qs.setdefault("vocab_coverage", dataops.q_vocab_coverage)
-    qs.setdefault("curriculum_shards", dataops.q_curriculum_shards)
-    qs.setdefault("embedding_norms", dataops.q_embedding_norms)
-    qs.setdefault("pq_encode", dataops.q_pq_encode)
-    qs.setdefault("pq_search", dataops.q_pq_search)
-    # late-round-4 cessions (driver slots went to the curation family;
-    # full local parity retained — see __ray_entry__.queries docstring)
-    qs.setdefault("sample_balanced", dataops.q_sample_balanced)
-    qs.setdefault("curation_pipeline", dataops.q_curation_pipeline)
-    qs.setdefault("lang_stats", dataops.q_lang_stats)
-    qs.setdefault("centroid_by_label", dataops.q_centroid_by_label)
-    qs.setdefault("top_lineitems", dataops.q_top_lineitems)
-    from dstream_ray.pipelines import queries as _q
-
-    qs.setdefault("events_hourly", _q.q_events_hourly)
-    qs.setdefault("rollup_usage", _q.q_rollup_usage)
-    qs.setdefault("pivot_roles", _q.q_pivot_roles)
-    qs.setdefault("cohort_retention", _q.q_cohort_retention)
-    qs.setdefault("funnel_stages", _q.q_funnel_stages)
-    # batch-surface queries that ceded driver slots to their engine twins
-    qs.setdefault("transcripts_feed", _q.q_transcripts_feed)
-    qs.setdefault("tumbling_window", _q.q_tumbling_window)
-    qs.setdefault("sliding_window", _q.q_sliding_window)
-    qs.setdefault("session_window", _q.q_session_window)
-    qs.setdefault("stream_join", _q.q_stream_join)
-    qs.setdefault("cep_pattern", _q.q_cep_pattern)
+    qs.update({name: library_query(name) for name in LIBRARY_QUERIES})
     return qs, dict(ORACLE_SQL)
 
 
@@ -286,22 +248,18 @@ def test_adversarial_embeddings_cosine_pairs(ray_session, tmp_path):
 
 EVENT_QUERIES = [
     "transcripts_feed",
-    "tumbling_window",
-    "sliding_window",
-    "session_window",
+    # engine twins: one cached engine run over the module's events dir
+    "streaming_tumbling",
+    "streaming_sliding",
+    "streaming_session",
+    "streaming_join",
+    "streaming_cep",
     "session_salted",
     "tumbling_salted",
-    "stream_join",
-    "cep_pattern",
     "partition_watermarks",
     "role_stats",
     "tool_usage",
-    "events_hourly",
     "hll_registers",
-    "rollup_usage",  # library-only (ROLLUP super-aggregates, GROUPING ids)
-    "pivot_roles",  # library-only (one-hot pivot, per-partition-final)
-    "cohort_retention",  # library-only (first-day cohorts × distinct actives)
-    "funnel_stages",  # library-only (chained first-occurrence funnel)
     "asof_join",  # strictly-prior semantics under duplicate timestamps
     "range_join",  # (ts, ts+7d] boundaries: purchase AT signup ts / AT +7d
 ]
@@ -370,9 +328,16 @@ def make_adversarial_events(tmp_path) -> str:
     return str(tmp_path)
 
 
+@pytest.fixture(scope="module")
+def adversarial_events_dir(tmp_path_factory) -> str:
+    """One events dir for the whole module, so the streaming_* cases share
+    one cached engine run (queries._run_streaming is keyed by sf_dir)."""
+    return make_adversarial_events(tmp_path_factory.mktemp("adversarial_events"))
+
+
 @pytest.mark.parametrize("qname", EVENT_QUERIES)
-def test_adversarial_events_parity(ray_session, tmp_path, qname):
-    sf_dir = make_adversarial_events(tmp_path)
+def test_adversarial_events_parity(ray_session, adversarial_events_dir, qname):
+    sf_dir = adversarial_events_dir
     qs, sqls = _queries_and_oracles()
     got = to_pandas(qs[qname](sf_dir))
     con = duckdb.connect()

@@ -2004,20 +2004,3 @@ def test_multimodal_png_real_decode_in_featurizer(ray_session):
         px = multimodal.decode_png(p).astype(np.float32)
         lum = px[:, :, 0] * 0.299 + px[:, :, 1] * 0.587 + px[:, :, 2] * 0.114
         assert abs(out.loc[i, "feat_mean"] - float(lum.mean())) < 1e-3, i
-
-
-def test_knn_ivfpq_precoded_path_equals_raw(ray_session, sf_tiny):
-    """The production layout (encode once to (vec_id, ivf_list, codes);
-    the search stage touches ONLY stored codes — 8 bytes/vector, never
-    the raw embedding) returns the identical result to the self-contained
-    raw path, probed and full-probe."""
-    import pandas as pd
-
-    import dstream_ray.pipelines.dataops as d
-
-    for probe in (d.IVF_INT_PROBE, d.IVF_INT_LISTS):
-        raw = (d.q_knn_ivfpq(sf_tiny, n_probe=probe)
-               .sort_values(["query_id", "rank"]).reset_index(drop=True))
-        pre = (d.q_knn_ivfpq(sf_tiny, n_probe=probe, path="precoded")
-               .sort_values(["query_id", "rank"]).reset_index(drop=True))
-        pd.testing.assert_frame_equal(pre, raw)

@@ -64,3 +64,16 @@ def test_entry_smoke(ray_session):
     out = out if isinstance(out, pd.DataFrame) else out.to_pandas()
     assert len(out) >= 0
     assert "conv_id" in out.columns
+
+
+def test_oracles_and_queries_are_one_to_one():
+    """ORACLE_SQL holds exactly the oracle-backed queries() entries plus the
+    parity tool's library-only queries, and no name is in both lists: a
+    query deleted without its oracle (or vice versa) fails here. Ray-free."""
+    from dstream_ray.pipelines.oracles import ORACLE_SQL
+    from tools.parity_check import LIBRARY_QUERIES, library_query
+
+    qs = _entry_module().queries()
+    assert len(set(LIBRARY_QUERIES) | set(qs)) == len(LIBRARY_QUERIES) + len(qs)
+    assert set(ORACLE_SQL) == {n for n in qs if n in ORACLE_SQL} | set(LIBRARY_QUERIES)
+    assert all(callable(library_query(n)) for n in LIBRARY_QUERIES)

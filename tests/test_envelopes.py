@@ -274,9 +274,9 @@ def test_raw_payload_through_engine(tmp_path, ray_session):
 
 
 def test_raw_parse_quarantines_missing_data_key():
-    """An envelope without 'data' (or without metadata.TableName) must
-    quarantine identically in raw and canonical modes (code-review fix:
-    raw mode used to accept it as a valid row)."""
+    """An envelope without 'data' (or without metadata.TableName), or whose
+    'data' is not a column -> value object (null, a number, a string, an
+    array), must quarantine identically in raw and canonical modes."""
     from dstream_ray.sources.envelopes import (
         parse_envelope_bytes_raw,
         parse_envelope_lines,
@@ -286,17 +286,21 @@ def test_raw_parse_quarantines_missing_data_key():
         '{"data":{"v":1},"metadata":{"TableName":"t1","LSN":"01","Seq":"0"}}',
         '{"metadata":{"TableName":"t1","LSN":"02","Seq":"0"}}',  # no data
         '{"data":{"v":2},"metadata":{"LSN":"03","Seq":"0"}}',  # no TableName
+        '{"data":null,"metadata":{"TableName":"t1","LSN":"05","Seq":"0"}}',
+        '{"data":5,"metadata":{"TableName":"t1","LSN":"06","Seq":"0"}}',
+        '{"data":"x","metadata":{"TableName":"t1","LSN":"07","Seq":"0"}}',
+        '{"data":[1],"metadata":{"TableName":"t1","LSN":"08","Seq":"0"}}',
         '{"data":{"v":3},"metadata":{"TableName":"t1","LSN":"04","Seq":"0"}}',
     ]
     raw = ("\n".join(lines) + "\n").encode()
     fast = parse_envelope_bytes_raw(raw).to_pandas()
     slow = parse_envelope_lines(lines).to_pandas()
     assert fast["role"].tolist() == slow["role"].tolist() == [
-        "change", "invalid", "invalid", "change"]
+        "change"] + ["invalid"] * 6 + ["change"]
     assert fast["turn_idx"].tolist() == slow["turn_idx"].tolist()
     # a null conv_id is what routes a row to quarantine
     assert fast["conv_id"].tolist() == slow["conv_id"].tolist() == [
-        "t1", None, None, "t1"]
+        "t1"] + [None] * 6 + ["t1"]
 
 
 def test_raw_envelope_without_data_lands_in_quarantine(ray_session, tmp_path):

@@ -636,3 +636,39 @@ def test_epoch_split_invariance_sample_watermark(data):
     single = run_wm([0, rows.num_rows])
     multi = run_wm(bounds)
     pd.testing.assert_frame_equal(canon(single), canon(multi), check_dtype=False)
+
+
+@st.composite
+def topk_cases(draw):
+    """(scores, ids, k, mask) with scores from a 3-value set, so ties at the
+    k-th score are common, and ids that may repeat."""
+    n = draw(st.integers(0, 40))
+    scores = np.array(draw(st.lists(st.sampled_from([-1.5, 0.0, 2.0]),
+                                    min_size=n, max_size=n)), dtype=np.float64)
+    ids = np.array(draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n)),
+                   dtype=np.int64)
+    k = draw(st.integers(0, n + 3))
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    return scores, ids, k, None if mask is None else np.array(mask, dtype=bool)
+
+
+_EMPTY = np.array([], dtype=np.float64), np.array([], dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(topk_cases())
+@example((*_EMPTY, 3, None))  # n == 0
+@example((*_EMPTY, 0, np.array([], dtype=bool)))
+@example((np.array([0.0, 2.0, 0.0]), np.array([5, 1, 2]), 3, np.zeros(3, bool)))  # all-False mask
+@example((np.array([2.0, 0.0, 0.0, 0.0]), np.array([4, 9, 3, 3]), 9, None))  # k >= n
+@example((np.array([2.0, 0.0, 0.0, 0.0]), np.array([4, 9, 3, 7]), 2, None))  # tie at the cut
+def test_topk_rows_matches_full_sort(case):
+    """ann.topk_rows (partition to the k-th score, then lexsort only the
+    candidates) returns exactly the full-sort reference over the rows the
+    mask allows: the k smallest (score, id) pairs, ties kept in row order."""
+    from dstream_ray.stages.ann import topk_rows
+
+    scores, ids, k, mask = case
+    rows = np.arange(len(scores)) if mask is None else np.flatnonzero(mask)
+    want = rows[np.lexsort((ids[rows], scores[rows]))[:k]]
+    np.testing.assert_array_equal(topk_rows(scores, ids, k, mask), want)

@@ -764,13 +764,14 @@ def test_feed_schema_evolution_tolerated_missing_columns_loud(ray_session, tmp_p
 
 
 @pytest.mark.parametrize("feed_kind", ["parquet", "ndjson"])
-def test_engine_runs_from_non_repo_cwd_without_pythonpath(tmp_path, feed_kind):
+def test_engine_runs_from_non_repo_cwd_without_pythonpath(tmp_path, feed_kind, sf_tiny):
     """Workers must unpickle every task UDF via the package's cloudpickle
     by-value registration alone — a runtime `import dstream_ray...` inside
     a remote task body breaks drivers whose cwd is not the repo (the
     driver's own call pattern). Regressions: the feed-contract check once
-    imported TRANSCRIPT_SCHEMA inside _split_task, and the raw envelope
-    parse imported dstream_ray.common inside the split task."""
+    imported TRANSCRIPT_SCHEMA inside _split_task, the raw envelope parse
+    imported dstream_ray.common inside the split task, and the batch
+    q_tumbling_salted partial imported dstream_ray.common per batch."""
     import json as _json
     import subprocess
     import sys as _sys
@@ -798,6 +799,9 @@ job = StreamingJob(StreamingConfig(feed_dir={str(feed)!r}, out_dir={str(tmp_path
                                    envelope_payload="raw"))
 st = job.run()
 print("ROWS", job.sink.read_op("events").num_rows)
+if {feed_kind == "parquet"!r}:
+    from dstream_ray.pipelines.queries import q_tumbling_salted
+    print("SALTED", len(q_tumbling_salted({sf_tiny!r})))
 ray.shutdown()
 """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -805,3 +809,5 @@ ray.shutdown()
                        env=env, capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
     assert "ROWS" in r.stdout and int(r.stdout.split("ROWS")[1].split()[0]) > 0
+    if feed_kind == "parquet":
+        assert int(r.stdout.split("SALTED")[1].split()[0]) > 0
