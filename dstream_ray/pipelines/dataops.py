@@ -2,10 +2,8 @@
 
 The dedup / similarity / text-analysis queries the engine adds beyond the
 reference's operator surface (a 100 TB training-data pipeline's toolbox).
-Each SQL-expressible one has an oracle in
-:mod:`dstream_ray.pipelines.oracles`; the signature/sketch ones (MinHash,
-SimHash, LSH) are rows-only for the driver and validated against brute force
-in pytest.
+Each has an oracle in :mod:`dstream_ray.pipelines.oracles`; pytest adds
+brute-force checks (recall, clusters) where the oracle cannot.
 """
 
 from __future__ import annotations
@@ -20,7 +18,38 @@ import ray
 import ray.data as rd
 
 from dstream_ray import register_pickle_by_value
+from dstream_ray.common import (
+    DEDUP_HASH_BASES,
+    fnv1a_u64,
+    poly_hash_strings,
+    token_hash_arrays,
+    token_strings_arrays,
+)
+from dstream_ray.pipelines.oracles import (
+    DECONTAM_BENCH_MOD,
+    LINE_CHUNK_IDX_CAP,
+    LINE_DEDUP_BROADCAST_MAX,
+    LINE_DEDUP_W,
+    MIX_SHARE_X1000,
+    MIX_WEIGHTS,
+    QUALITY_WEIGHT_MOD,
+    SEMDEDUP_LISTS,
+    SEMDEDUP_SCALE,
+    SEMDEDUP_TAU2_DEN,
+    SEMDEDUP_TAU2_NUM,
+    SPLIT_TRAIN_X100,
+    SPLIT_VAL_X100,
+    SUBSTRING_DUP_MIN_DOCS,
+    SUBSTRING_KEEP_MAX_X1000,
+)
+from dstream_ray.pipelines.queries import _tuned_read
 from dstream_ray.stages import ann, dedup, multimodal, text
+from dstream_ray.stages.sketches import (
+    HLL,
+    cms_cells_batch,
+    hll_merge_partials,
+    hll_partial_batch,
+)
 
 register_pickle_by_value()
 
@@ -35,14 +64,10 @@ def _pool(cap: int = 16) -> tuple[int, int]:
 
 
 def _read_documents(sf_dir: str, columns=None) -> rd.Dataset:
-    from dstream_ray.pipelines.queries import _tuned_read
-
     return _tuned_read(os.path.join(sf_dir, "documents.parquet"), columns=columns)
 
 
 def _read_embeddings(sf_dir: str, columns=None) -> rd.Dataset:
-    from dstream_ray.pipelines.queries import _tuned_read
-
     return _tuned_read(os.path.join(sf_dir, "embeddings.parquet"), columns=columns)
 
 
@@ -61,24 +86,6 @@ def q_doc_stats(sf_dir: str):
 def q_langid_markers(sf_dir: str):
     return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         text.LangIdMarkers, batch_format="pyarrow", batch_size=2048, concurrency=_pool()
-    )
-
-
-def q_lang_stats(sf_dir: str) -> pd.DataFrame:
-    ds = _read_documents(sf_dir, ["lang", "n_chars"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("lang", as_index=False).agg(
-            n_docs=("lang", "size"), total_chars=("n_chars", "sum")
-        )
-
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("lang")
-        .aggregate(Sum("n_docs", alias_name="n_docs"), Sum("total_chars", alias_name="total_chars"))
-        .to_pandas()
     )
 
 
@@ -142,8 +149,6 @@ def q_decontamination(sf_dir: str, bench_mod: int | None = None):
     (dedup.shingle_sets_batch), which the SQL oracle already recomputes
     bit-for-bit."""
     if bench_mod is None:
-        from dstream_ray.pipelines.oracles import DECONTAM_BENCH_MOD
-
         bench_mod = DECONTAM_BENCH_MOD
     docs = _read_documents(sf_dir, ["doc_id", "text"])
     ref = ray.put(_bench_shingle_set(docs, bench_mod))
@@ -175,15 +180,6 @@ def q_repetition_stats(sf_dir: str):
 SUBSTRING_DUP_BROADCAST_MAX = 2_000_000  # dup shingles; above this, hash-join
 
 
-def _doc_shingle_stats(b: pa.Table):
-    """Per-doc shingle arrays a substring-dedup batch needs: positionful
-    values+offsets (``shingle_all_batch``) and per-(doc, shingle) distinct
-    pairs for the doc-frequency partial."""
-    vals, offs = dedup.shingle_all_batch(b["text"])
-    uvals, uoffs = dedup.shingle_sets_batch(b["text"])
-    return vals, offs, uvals, uoffs
-
-
 def q_substring_dedup(
     sf_dir: str,
     min_docs: int | None = None,
@@ -212,11 +208,6 @@ def q_substring_dedup(
     (the single rule both sides share); non-default values are NOT covered
     by ``ORACLE_SQL['substring_dedup']``."""
     from ray.data.aggregate import Sum
-
-    from dstream_ray.pipelines.oracles import (
-        SUBSTRING_DUP_MIN_DOCS,
-        SUBSTRING_KEEP_MAX_X1000,
-    )
 
     if min_docs is None:
         min_docs = SUBSTRING_DUP_MIN_DOCS
@@ -338,12 +329,6 @@ def q_line_dedup(sf_dir: str, w: int | None = None, mode: str = "auto"):
     covered."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Count, Min, Sum
-
-    from dstream_ray.pipelines.oracles import (
-        LINE_CHUNK_IDX_CAP,
-        LINE_DEDUP_BROADCAST_MAX,
-        LINE_DEDUP_W,
-    )
 
     if w is None:
         w = LINE_DEDUP_W
@@ -533,9 +518,6 @@ def quality_scores_batch(texts) -> tuple[np.ndarray, np.ndarray]:
     """The hashed-weight quality score shared by q_quality_classify and
     q_curriculum_shards: per-doc (n_tokens, score) in one vectorized
     hash+cumsum pass; w(t) = (fnv64(t) % QUALITY_WEIGHT_MOD) - 1000."""
-    from dstream_ray.common import token_hash_arrays
-    from dstream_ray.pipelines.oracles import QUALITY_WEIGHT_MOD
-
     half = QUALITY_WEIGHT_MOD // 2
     flat, offs = token_hash_arrays(texts)
     w = (flat % np.uint64(QUALITY_WEIGHT_MOD)).astype(np.int64) - half
@@ -556,8 +538,6 @@ def q_quality_classify(sf_dir: str):
     weight from the shared token-FNV CTE. avg_weight divides through the
     shifted NONNEGATIVE numerator because DuckDB ``//`` truncates while
     numpy floors (oracles.py notes the same on its side)."""
-    from dstream_ray.pipelines.oracles import QUALITY_WEIGHT_MOD
-
     half = QUALITY_WEIGHT_MOD // 2
 
     def score(b: pa.Table) -> pa.Table:
@@ -673,30 +653,10 @@ def q_pii_scrub(sf_dir: str):
     )
 
 
-# ---------------------------------------------------------------------------
-# dedup family
-# ---------------------------------------------------------------------------
-
-
-# 128-bit content key (see common.DEDUP_HASH_BASES): the oracle groups by
-# raw text, so only key injectivity matters, not the hash values.
-from dstream_ray.common import (  # noqa: E402
-    DEDUP_HASH_BASES,
-    BoundedCache,
-    fnv1a_u64,
-    poly_hash_strings,
-    token_hash_arrays,
-    token_strings_arrays,
-    utf8_view,
-)
-
-
 def q_dedup_exact(sf_dir: str) -> pd.DataFrame:
     """Exact dedup: survivors = min doc_id per distinct text (+ copy count).
     Whole-batch vectorized content hash (common.poly_hash_strings — no
     per-row Python), per-batch partials, ONE groupby on the 128-bit key."""
-    from dstream_ray.common import poly_hash_strings
-
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -721,6 +681,11 @@ def q_dedup_exact(sf_dir: str) -> pd.DataFrame:
         .aggregate(Min("doc_id", alias_name="doc_id"), Sum("n_copies", alias_name="n_copies"))
         .to_pandas()[["doc_id", "n_copies"]]
     )
+
+
+# ---------------------------------------------------------------------------
+# dedup family
+# ---------------------------------------------------------------------------
 
 
 def minhash_candidate_pairs(docs: rd.Dataset) -> rd.Dataset:
@@ -1066,8 +1031,6 @@ def q_stratified_split(sf_dir: str):
     without re-splitting the old. Stratification across languages is
     statistical (the hash is independent of lang) and pytest-checked;
     DuckDB recomputes the FNV bucket per doc bit-for-bit."""
-    from dstream_ray.common import fnv1a_u64
-    from dstream_ray.pipelines.oracles import SPLIT_TRAIN_X100, SPLIT_VAL_X100
 
     def split(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1109,13 +1072,6 @@ def q_semantic_dedup(sf_dir: str):
     vectorized matmul per batch; the quadratic term is bounded PER CLUSTER
     (the paper's own trick — k scales with corpus so cluster sizes stay
     fixed) and clusters dedup in parallel via one cluster-keyed exchange."""
-    from dstream_ray.pipelines.oracles import (
-        SEMDEDUP_LISTS,
-        SEMDEDUP_SCALE,
-        SEMDEDUP_TAU2_DEN,
-        SEMDEDUP_TAU2_NUM,
-    )
-
     ctbl = pq.read_table(
         os.path.join(sf_dir, "embeddings.parquet"),
         columns=["vec_id", "embedding"],
@@ -1195,11 +1151,7 @@ def _load_queries(sf_dir: str) -> dict:
 def _fixed(M: np.ndarray) -> np.ndarray:
     """The ANN family's fixed-point integers ``floor(x * 1e6)`` (exact in
     float64)."""
-    return np.floor(np.asarray(M, dtype=np.float64) * PQ_SCALE)
-
-
-def _fixed_rows(col) -> np.ndarray:
-    return _fixed(ann._stack(col))
+    return np.floor(np.asarray(M, dtype=np.float64) * 1_000_000.0)
 
 
 def _cosine_knn(sf_dir: str, q: dict, route=None, probes=None) -> pd.DataFrame:
@@ -1306,34 +1258,8 @@ def q_centroid_by_label(sf_dir: str) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------------------
-# multimodal plumbing (stubbed decode; real Ray-side pipeline)
+# multimodal: the raw-RGB binary round-trip
 # ---------------------------------------------------------------------------
-
-
-def q_multimodal_features(sf_dir: str) -> pd.DataFrame:
-    """Synthetic media table -> actor-pool featurizer. 70% of the rows
-    decode FOR REAL: 35% raw-RGB (byte-level `decode_rgb_raw`) and 35%
-    actual PNG files (minimal stdlib-zlib `decode_png`: chunk walk + CRC +
-    inflate + all five scanline filters); the rest exercise the
-    fake-decode plumbing that stands in for PIL/ffmpeg on codec formats
-    this container can't decode. The sf_dir is unused (no media in
-    testdata); size fixed + seeded so the rows-only check is
-    deterministic."""
-    media = multimodal.generate_media_table(
-        n=128, seed=5, raw_frac=0.35, png_frac=0.35
-    )
-    ds = rd.from_arrow(media)
-    feats = ds.map_batches(
-        multimodal.MediaFeaturizer,
-        batch_format="pyarrow",
-        batch_size=32,  # binary payloads: keep batches small
-        concurrency=_pool(cap=4),  # 128 rows / 32-row batches: 4 actors max useful
-        fn_constructor_kwargs={"decode": "auto"},
-    ).to_pandas()
-    out = feats[["media_id", "kind"]].copy()
-    out["feat_mean_x100"] = np.floor(100 * feats["feat_mean"]).astype(np.int64)
-    out["emb_dim"] = feats["embedding"].map(len).astype(np.int64)
-    return out.sort_values("media_id").reset_index(drop=True)
 
 
 def q_multimodal_raw(sf_dir: str) -> pd.DataFrame:
@@ -1344,8 +1270,8 @@ def q_multimodal_raw(sf_dir: str) -> pd.DataFrame:
     luminance sum, pixel sum, channel max) that DuckDB recomputes
     analytically from the closed-form pixel definition — so the whole
     binary round-trip (encode → Arrow binary column → decode → featurize)
-    is value-hash-checked. sf_dir unused (payloads are generated, like the
-    plumbing variant). Small batches: binary rows are large."""
+    is value-hash-checked. sf_dir unused (payloads are generated). Small
+    batches: binary rows are large."""
     media = multimodal.generate_media_table_grid(n=64)
     feats = (
         rd.from_arrow(media)
@@ -1367,8 +1293,6 @@ def _balanced_sample_by_lang(ds: rd.Dataset) -> pd.DataFrame:
     lang lookup, no RNG state). Shared by q_sample_balanced and
     q_curation_pipeline so the sampling rule exists exactly once."""
     from ray.data.aggregate import Sum
-
-    from dstream_ray.common import fnv1a_u64
 
     def count_partial(b: pd.DataFrame) -> pd.DataFrame:
         return b.groupby("lang", as_index=False).agg(n=("doc_id", "size"))
@@ -1443,8 +1367,6 @@ def q_len_quantiles(sf_dir: str) -> pd.DataFrame:
     the scale path for exact order statistics on integer-valued metrics.
     Matches DuckDB ``quantile_disc`` (value at sorted position ceil(q*n))."""
     from ray.data.aggregate import Sum
-
-    from dstream_ray.common import token_hash_arrays
 
     QS = (50, 90, 99)
 
@@ -1563,470 +1485,6 @@ def q_inverted_index(sf_dir: str) -> rd.Dataset:
                          **{c: pc.cast(b[c], pa.int64()) for c in cols}})
 
     return agg.map_batches(tidy, batch_format="pyarrow")
-
-
-# BM25 retrieval constants shared with the SQL oracle: query terms are the
-# df-ranked tokens at these positions (deterministic, corpus-derived — no
-# hardcoded vocabulary), k1=1.2 / b=0.75 folded into exact integer
-# arithmetic (see q_bm25_search), top-K by (score DESC, doc_id).
-BM25_RANKS = (10, 20, 30, 40)
-BM25_TOP = 10
-
-
-def q_bm25_search(sf_dir: str) -> pd.DataFrame:
-    """Top-BM25_TOP rows of :func:`_bm25_scored` — see there for the
-    integer-exact scoring recipe and the scale shape."""
-    return _bm25_scored(sf_dir).head(BM25_TOP).reset_index(drop=True)
-
-
-# one BM25 top-50 list per sf_dir per process: bm25_search and the hybrid
-# fusion share the two scoring passes (same convention as _STREAMING_CACHE).
-# Bounded: a long-lived driver touching many sf_dirs evicts FIFO at 8.
-_BM25_CACHE: dict = BoundedCache(maxsize=8)
-
-
-def _bm25_scored(sf_dir: str) -> pd.DataFrame:
-    """Integer-exact BM25 retrieval over the documents corpus (k1=1.2,
-    b=0.75): top-K docs for a deterministic 4-term query (the df-ranked
-    tokens at positions BM25_RANKS — picked from the corpus itself so the
-    query works at any scale). All scoring is integer arithmetic with a
-    FIXED quantization recipe both sides share, so DuckDB reproduces every
-    score bit-for-bit:
-
-        idf_q  = (10000*(2N - 2df + 1)) // (2df + 1)     -- idf x1e4
-        L_q    = (1000 * dl * N) // TL                   -- dl/avgdl x1e3
-        s(t,d) = (idf_q * 22000 * tf) // (10000*tf + 3000 + 9*L_q)
-
-    (the denominator is tf + k1*(1-b) + k1*b*dl/avgdl scaled by 1e4; the
-    numerator carries tf*(k1+1) = 2.2*tf scaled to match; magnitudes stay
-    under 2^62 for N, tf, TL within int64 corpus bounds).
-
-    Scale shape: pass 1 is the vocabulary-bounded df aggregate (also
-    yields TL = sum tf and the query terms); pass 2 re-tokenizes,
-    keeps ONLY docs matching a query term, and scores them in-batch with
-    the broadcast (df, N, TL) scalars. The final merge stays IN-CLUSTER:
-    groupby(doc_id) sum, then sort + limit(max(BM25_TOP, HYBRID_M)) so
-    only the <=50-row head ever reaches (and is cached on) the driver —
-    the matched-doc set itself is never materialized. No per-doc state,
-    no shuffle
-    except the final (matched-docs-bounded) groupby + top-K sort."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
-
-    _st = os.stat(os.path.join(sf_dir, "documents.parquet"))
-    _ck = (sf_dir, _st.st_mtime_ns, _st.st_size)
-    if _ck in _BM25_CACHE:
-        return _BM25_CACHE[_ck]
-
-    df_tbl = (build_inverted_index(sf_dir)
-              .groupby("token")
-              .aggregate(Count(alias_name="df"), Sum("tf", alias_name="tf"))
-              .to_pandas())
-    if not len(df_tbl):  # all-empty corpus: no postings, no columns
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                             "score": pd.Series([], dtype="int64")})
-    n_docs = int(_read_documents(sf_dir, ["doc_id"]).count())
-    total_len = int(df_tbl["tf"].sum())
-    ranked = df_tbl.sort_values(["df", "token"], ascending=[False, True])
-    picks = ranked.iloc[[r - 1 for r in BM25_RANKS if r <= len(ranked)]]
-    idf_q = {
-        t: (10000 * (2 * n_docs - 2 * int(d) + 1)) // (2 * int(d) + 1)
-        for t, d in zip(picks["token"], picks["df"])
-    }
-    if not idf_q or total_len == 0:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                             "score": pd.Series([], dtype="int64")})
-    terms = sorted(idf_q)
-
-    def score_partial(b: pa.Table) -> pa.Table:
-        flat, offs = token_strings_arrays(b["text"])
-        dl = np.diff(offs).astype(np.int64)
-        doc = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        l_q = (1000 * dl * n_docs) // total_len
-        out_doc, out_s = [], []
-        for t in terms:
-            eq = pc.equal(flat, t).to_numpy(zero_copy_only=False).astype(np.int64)
-            csum = np.r_[0, np.cumsum(eq)]
-            tf = csum[offs[1:]] - csum[offs[:-1]]  # per-doc term frequency
-            hit = tf > 0
-            if hit.any():
-                s = (idf_q[t] * 22000 * tf[hit]) // (
-                    10000 * tf[hit] + 3000 + 9 * l_q[hit]
-                )
-                out_doc.append(doc[hit])
-                out_s.append(s)
-        if not out_doc:
-            return pa.table({"doc_id": pa.array([], type=pa.int64()),
-                             "s": pa.array([], type=pa.int64())})
-        return pa.table({"doc_id": pa.array(np.concatenate(out_doc)),
-                         "s": pa.array(np.concatenate(out_s))})
-
-    top_n = max(BM25_TOP, HYBRID_M)
-    scored = (_read_documents(sf_dir, ["doc_id", "text"])
-              .map_batches(score_partial, batch_format="pyarrow")
-              .groupby("doc_id")
-              .aggregate(Sum("s", alias_name="score"))
-              .sort(["score", "doc_id"], descending=[True, False])
-              .limit(top_n)
-              .to_pandas())
-    out = (scored.astype({"doc_id": "int64", "score": "int64"})
-           .reset_index(drop=True))
-    _BM25_CACHE[_ck] = out
-    return out
-
-
-# Hybrid retrieval constants (shared with the SQL oracle): candidate list
-# depth per ranker, the RRF smoothing constant, and the fused output size.
-HYBRID_M = 50
-RRF_K = 60
-HYBRID_TOP = 10
-
-
-def q_hybrid_search(sf_dir: str) -> pd.DataFrame:
-    """HYBRID retrieval: lexical BM25 + dense maximum-inner-product
-    rankings fused by Reciprocal Rank Fusion (Cormack et al., SIGIR'09),
-    entirely in integer arithmetic so DuckDB reproduces the fused scores
-    bit-for-bit. Lexical side: the BM25 ranking of :func:`_bm25_scored`
-    (corpus-derived query terms). Dense side: integer dot products of
-    floor(1e6·x) embeddings against the broadcast query vector (the
-    lowest vec_id row), ranked (s DESC, vec_id). Each ranker contributes
-    ``1_000_000 // (RRF_K + rank)`` for its top HYBRID_M candidates;
-    fused top-HYBRID_TOP by (rrf DESC, doc_id).
-
-    Scale shape: the dense pass is one map_batches of a (batch × dim)
-    int64 matmul against the broadcast query (the brute-force ANN
-    pattern), followed by a top-M sort of per-batch candidates; the
-    lexical side reuses the two BM25 passes; fusion joins two <= M-row
-    lists on the driver."""
-    lex = _bm25_scored(sf_dir).head(HYBRID_M)
-    lex_c = {
-        int(d): 1_000_000 // (RRF_K + r)
-        for r, d in enumerate(lex["doc_id"], start=1)
-    }
-
-    # prune at the read: the dense ranker needs only (vec_id, embedding)
-    emb = _read_embeddings(sf_dir, ["vec_id", "embedding"])
-    qrow = emb.sort("vec_id").limit(1).to_pandas()
-    if not len(qrow):  # empty embeddings table: lexical-only fusion
-        out = pd.DataFrame({"doc_id": list(lex_c),
-                            "rrf": [lex_c[d] for d in lex_c]})
-        out = out.astype({"doc_id": "int64", "rrf": "int64"})
-        return (out.sort_values(["rrf", "doc_id"], ascending=[False, True])
-                .head(HYBRID_TOP).reset_index(drop=True))
-    qv = (np.floor(np.asarray(qrow["embedding"][0], dtype=np.float64) * 1_000_000)
-          .astype(np.int64))
-
-    def dot_partial(b: pa.Table) -> pa.Table:
-        e = np.stack(b["embedding"].to_numpy(zero_copy_only=False))
-        ei = np.floor(e.astype(np.float64) * 1_000_000).astype(np.int64)
-        s = ei @ qv
-        return pa.table({
-            "vec_id": b["vec_id"].cast(pa.int64()),
-            "s": pa.array(s),
-        })
-
-    dense = (emb.map_batches(dot_partial, batch_format="pyarrow")
-             .sort(["s", "vec_id"], descending=[True, False])
-             .limit(HYBRID_M).to_pandas())
-    den_c = {
-        int(v): 1_000_000 // (RRF_K + r)
-        for r, v in enumerate(dense["vec_id"], start=1)
-    }
-
-    fused: dict[int, int] = {}
-    for d, c in lex_c.items():
-        fused[d] = fused.get(d, 0) + c
-    for d, c in den_c.items():
-        fused[d] = fused.get(d, 0) + c
-    out = pd.DataFrame(
-        {"doc_id": list(fused), "rrf": [fused[d] for d in fused]}
-    ).astype({"doc_id": "int64", "rrf": "int64"})
-    return (out.sort_values(["rrf", "doc_id"], ascending=[False, True])
-            .head(HYBRID_TOP).reset_index(drop=True))
-
-
-CORPUS_SAMPLE_K = 20
-
-
-def q_corpus_sample(sf_dir: str) -> pd.DataFrame:
-    """Deterministic per-language corpus subsample: the CORPUS_SAMPLE_K
-    docs with the smallest hash priority fmix64(fnv1a(str(doc_id))) per
-    language — the batch twin of the `tumbling_sample` engine operator
-    (same bottom-k semilattice, so per-batch partial trims merge exactly),
-    and the reproducible replacement for `ORDER BY random()` sampling:
-    membership is a pure function of doc_id, stable across reruns, node
-    counts, and row order. Scale shape: one map_batches computes
-    priorities and trims each batch to <= k rows per language seen in it;
-    the merge handles batches x langs x k candidate rows, never the
-    corpus."""
-    import pyarrow.compute as pc
-
-    from dstream_ray.common import fmix64
-
-    def sample_partial(b: pa.Table) -> pa.Table:
-        pri = fmix64(fnv1a_u64(pc.cast(b["doc_id"], pa.string())))
-        df = pd.DataFrame({
-            "lang": b["lang"].to_pandas(),
-            "doc_id": b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64),
-            "priority": pri,
-        })
-        df = df.sort_values(["lang", "priority", "doc_id"], kind="mergesort")
-        df = df[df.groupby("lang").cumcount() < CORPUS_SAMPLE_K]
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    cand = (_read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
-            .map_batches(sample_partial, batch_format="pyarrow")
-            .to_pandas())
-    out = cand.sort_values(["lang", "priority", "doc_id"], kind="mergesort")
-    out = out[out.groupby("lang").cumcount() < CORPUS_SAMPLE_K]
-    return (out[["lang", "doc_id", "n_chars"]]
-            .sort_values(["lang", "doc_id"]).reset_index(drop=True))
-
-
-BPE_PAIR_TOP = 30
-
-
-def q_byte_pair_counts(sf_dir: str) -> pd.DataFrame:
-    """The first BPE-training iteration, distributed: global frequencies
-    of ADJACENT BYTE PAIRS across the corpus (the statistic a BPE learner
-    maximizes to pick its next merge), top-BPE_PAIR_TOP by (count DESC,
-    pair). One ``np.bincount`` per batch over the zero-copy UTF-8 buffer
-    produces a fixed 65536-slot mergeable partial (512 KiB per batch
-    crosses the exchange regardless of corpus size) — see
-    :func:`_pair_counts_agg`, shared with the two-step BPE loop."""
-    return (_pair_counts_agg(_read_documents(sf_dir, ["text"]),
-                             assert_ascii=True)
-            .head(BPE_PAIR_TOP).reset_index(drop=True))
-
-
-BPE_STEP_TOP = 10
-
-
-def _pair_counts_agg(ds, assert_ascii: bool = False) -> pd.DataFrame:
-    """Shared bincount-partial pair aggregation (see q_byte_pair_counts).
-
-    ``assert_ascii=True`` (raw-corpus passes only) enforces the ASCII
-    oracle contract loudly: byte pairs == character pairs only when every
-    byte is printable ASCII or tab/newline/CR, and the merge-symbol bytes
-    (control range) must be absent from the raw corpus for the BPE loops
-    to be injective. A non-conforming corpus raises instead of silently
-    desynchronizing from the SQL oracle (ADVICE r4)."""
-    from ray.data.aggregate import Sum
-
-    def pair_partial(b: pa.Table) -> pa.Table:
-        data, starts, ends = utf8_view(b["text"])
-        if assert_ascii and len(data):
-            # whitespace bytes 9-13 (tab/LF/VT/FF/CR) are legal corpus
-            # content (the tokenization contract treats them as spaces);
-            # the reserved merge symbols are 1-8 and 14-31
-            bad = (data >= 128) | (data < 9) | ((data > 13) & (data < 32))
-            if bad.any():
-                raise ValueError(
-                    "BPE ASCII oracle contract violated: corpus contains "
-                    f"byte {int(data[np.flatnonzero(bad)[0]])} (non-ASCII "
-                    "or reserved control byte); byte pairs would not equal "
-                    "SQL character pairs"
-                )
-        if len(data) < 2:
-            return pa.table({"slot": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64())})
-        u = (data[:-1].astype(np.int64) << 8) | data[1:].astype(np.int64)
-        mask = np.ones(len(data) - 1, dtype=bool)
-        kill = ends[ends <= len(data) - 1] - 1
-        mask[kill[kill >= 0]] = False
-        counts = np.bincount(u[mask], minlength=1 << 16)
-        nz = np.flatnonzero(counts)
-        return pa.table({"slot": pa.array(nz.astype(np.int64)),
-                         "n": pa.array(counts[nz].astype(np.int64))})
-
-    agg = (ds.map_batches(pair_partial, batch_format="pyarrow")
-           .groupby("slot").aggregate(Sum("n", alias_name="n")).to_pandas())
-    if not len(agg):
-        return pd.DataFrame({"pair": pd.Series([], dtype="object"),
-                             "n": pd.Series([], dtype="int64")})
-    agg["pair"] = [chr(int(sl) >> 8) + chr(int(sl) & 255) for sl in agg["slot"]]
-    return (agg.astype({"n": "int64"})
-            .sort_values(["n", "pair"], ascending=[False, True])
-            [["pair", "n"]].reset_index(drop=True))
-
-
-def q_bpe_train_steps(sf_dir: str) -> pd.DataFrame:
-    """TWO iterations of the BPE training loop, distributed: iteration 1
-    counts adjacent pairs and picks the top merge; iteration 2 APPLIES
-    that merge corpus-wide (left-to-right non-overlapping replacement —
-    str.replace semantics, the BPE convention — with chr(1) as the new
-    symbol) and recounts. Output: the top BPE_STEP_TOP pairs of each
-    iteration as (it, pair, n). Each iteration is one map-only pass plus
-    the fixed 65536-slot partial aggregate; the merge is a vectorized
-    Arrow replace — the shape of a full BPE learner (N sequential
-    corpus passes, each cheap and shuffle-light)."""
-    import pyarrow.compute as pc
-
-    it1 = _pair_counts_agg(_read_documents(sf_dir, ["text"]),
-                           assert_ascii=True)
-    if not len(it1):
-        return pd.DataFrame({"it": pd.Series([], dtype="int64"),
-                             "pair": pd.Series([], dtype="object"),
-                             "n": pd.Series([], dtype="int64")})
-    top_pair = str(it1.iloc[0]["pair"])
-
-    def apply_merge(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "text": pc.replace_substring(b["text"], top_pair, "\x01")
-        })
-
-    it2 = _pair_counts_agg(
-        _read_documents(sf_dir, ["text"])
-        .map_batches(apply_merge, batch_format="pyarrow"))
-    out = pd.concat([
-        it1.head(BPE_STEP_TOP).assign(it=np.int64(1)),
-        it2.head(BPE_STEP_TOP).assign(it=np.int64(2)),
-    ], ignore_index=True)[["it", "pair", "n"]]
-    return out.reset_index(drop=True)
-
-
-_BPE_CACHE: dict = BoundedCache(maxsize=8)
-
-
-def _bpe_learn(
-    sf_dir: str, n_merges: int,
-) -> tuple[list[tuple[str, str]], list[dict]]:
-    """Run the distributed BPE training loop (see :func:`q_bpe_train` for
-    the full contract) and return BOTH artifacts: the ``(pair, symbol)``
-    merge list in application order — the object an ENCODE pass replays —
-    and the per-step ``{step, pair, n}`` rows the trainer reports.
-
-    The learned list (<= n_merges tiny tuples) is memoized per corpus
-    identity so a train-then-encode session pays the N learning passes
-    once — the ``_bm25_scored`` memo discipline (bounded, driver-side,
-    value is the artifact not the data)."""
-    import pyarrow.compute as pc
-
-    from dstream_ray.pipelines.oracles import BPE_MERGE_SYMBOLS
-
-    if n_merges > len(BPE_MERGE_SYMBOLS):
-        raise ValueError(
-            f"n_merges={n_merges} exceeds the {len(BPE_MERGE_SYMBOLS)} "
-            "reserved merge symbols (control bytes minus tab/LF/CR)"
-        )
-    _st = os.stat(os.path.join(sf_dir, "documents.parquet"))
-    _ck = (sf_dir, _st.st_mtime_ns, _st.st_size, n_merges)
-    if _ck in _BPE_CACHE:
-        return _BPE_CACHE[_ck]
-
-    merges: list[tuple[str, str]] = []  # (pair, assigned symbol)
-    rows: list[dict] = []
-    for step in range(n_merges):
-
-        def apply_merges(b: pa.Table, _m=tuple(merges)) -> pa.Table:
-            t = b["text"]
-            for p, s in _m:  # left-to-right non-overlapping, in merge order
-                t = pc.replace_substring(t, p, s)
-            return pa.table({"text": t})
-
-        ds = _read_documents(sf_dir, ["text"])
-        if merges:
-            ds = ds.map_batches(apply_merges, batch_format="pyarrow")
-        counts = _pair_counts_agg(ds, assert_ascii=(step == 0))
-        if not len(counts):
-            break  # corpus exhausted (every doc is a single symbol)
-        pair, n = str(counts.iloc[0]["pair"]), int(counts.iloc[0]["n"])
-        rows.append({"step": step + 1, "pair": pair, "n": n})
-        merges.append((pair, BPE_MERGE_SYMBOLS[step]))
-    _BPE_CACHE[_ck] = (merges, rows)
-    return merges, rows
-
-
-def q_bpe_train(sf_dir: str, n_merges: int | None = None) -> pd.DataFrame:
-    """The FULL distributed BPE training loop (Sennrich et al. 2016),
-    N merges: each iteration counts adjacent symbol pairs corpus-wide,
-    picks the most frequent (count DESC, pair ASC tiebreak — the
-    deterministic BPE convention), assigns it a fresh merge symbol, and
-    the next iteration counts over the merged corpus. Output is the
-    LEARNED MERGE LIST: one row per merge, ``(step, pair, n)`` — the
-    artifact a BPE tokenizer trainer exists to produce. Merge symbols
-    are the control bytes of :data:`oracles.BPE_MERGE_SYMBOLS` (never
-    tab/newline/CR), guaranteed absent from the raw corpus by the ASCII
-    oracle contract (asserted loudly on the first pass), so symbol
-    strings stay injective and byte pairs == DuckDB character pairs on
-    every iteration.
-
-    Scale shape (the reason this is a *distributed* trainer): iteration
-    k is ONE streaming pass — read the raw corpus, re-apply the k
-    learned merges as vectorized left-to-right ``pc.replace_substring``
-    kernels inside the same ``map_batches``, and reduce to the fixed
-    65536-slot pair-count partial (:func:`_pair_counts_agg`; 512 KiB per
-    batch crosses the exchange regardless of corpus size). Re-applying
-    merges from the immutable input instead of materializing a working
-    corpus keeps the object store empty between iterations and makes
-    every pass independently retryable — N reads + O(N^2/2) cheap
-    vectorized replaces total, no N-generation corpus checkpoint. The
-    driver holds only the merge list (N rows).
-
-    Reference parity: the two-iteration shape is SQL-gated as
-    ``bpe_train_steps``; this N-merge list is SQL-gated against a
-    generated N-stage DuckDB oracle and pytest-pinned to a scalar
-    str.replace reference over adversarial corpora."""
-    from dstream_ray.pipelines.oracles import BPE_TRAIN_MERGES
-
-    if n_merges is None:
-        n_merges = BPE_TRAIN_MERGES
-    _, rows = _bpe_learn(sf_dir, n_merges)
-    if not rows:
-        return pd.DataFrame({"step": pd.Series([], dtype="int64"),
-                             "pair": pd.Series([], dtype="object"),
-                             "n": pd.Series([], dtype="int64")})
-    out = pd.DataFrame(rows)
-    return (out.astype({"step": "int64", "n": "int64"})
-            [["step", "pair", "n"]].reset_index(drop=True))
-
-
-def q_bpe_encode(sf_dir: str, n_merges: int | None = None) -> pd.DataFrame:
-    """The tokenizer ENCODE pass — the consumer of :func:`q_bpe_train`'s
-    artifact, completing the train→encode loop a BPE tokenizer exists
-    for: learn the N-merge list on the corpus, then re-apply it to every
-    document and report the per-document BPE TOKEN COUNT. After the
-    merge chain every symbol (original ASCII byte or reserved merge
-    byte) is exactly one character, so the token count is the merged
-    string's length — the same identity the DuckDB oracle exploits, so
-    parity is bit-for-bit. Output: ``(doc_id, n_chars, n_tok_bpe)``
-    per document, plus the corpus-level invariant that
-    ``n_chars - n_tok_bpe`` equals the total number of merge
-    applications.
-
-    Scale shape: training is :func:`_bpe_learn` (N streaming passes,
-    fixed 65536-slot partials — see :func:`q_bpe_train`); ENCODING is
-    ONE additional map-only pass (the N learned merges re-applied as
-    vectorized ``pc.replace_substring`` kernels inside a single
-    ``map_batches``) emitting three int64 columns per doc — no shuffle,
-    no driver materialization beyond the compared frame. At deployment
-    scale the encode pass writes its counts (or the token streams)
-    straight to partitioned parquet; per-doc token counts are exactly
-    what the pack_sequences / mixture_sample stages consume upstream."""
-    import pyarrow.compute as pc
-
-    from dstream_ray.pipelines.oracles import BPE_TRAIN_MERGES
-
-    if n_merges is None:
-        n_merges = BPE_TRAIN_MERGES
-    merges, _ = _bpe_learn(sf_dir, n_merges)
-
-    def encode(b: pa.Table, _m=tuple(merges)) -> pa.Table:
-        t = b["text"]
-        for p, s in _m:  # left-to-right non-overlapping, in merge order
-            t = pc.replace_substring(t, p, s)
-        return pa.table({
-            "doc_id": b["doc_id"].cast(pa.int64()),
-            "n_chars": b["n_chars"].cast(pa.int64()),
-            # ASCII + single-byte merge symbols -> chars == bytes
-            "n_tok_bpe": pc.utf8_length(t).cast(pa.int64()),
-        })
-
-    out = (_read_documents(sf_dir, ["doc_id", "text", "n_chars"])
-           .map_batches(encode, batch_format="pyarrow")
-           .to_pandas())
-    return out.sort_values("doc_id").reset_index(drop=True)
 
 
 VOCAB_COVER_PCTS = (50, 90, 99)
@@ -2171,8 +1629,6 @@ def q_cms_tokens(sf_dir: str) -> pd.DataFrame:
     pytest-gated in test_sketches)."""
     from ray.data.aggregate import Sum
 
-    from dstream_ray.stages.sketches import cms_cells_batch
-
     def partial(b: pa.Table) -> pa.Table:
         cells, counts = cms_cells_batch(b["text"])
         return pa.table({"cell": cells, "cnt": counts})
@@ -2284,8 +1740,6 @@ def q_curation_v2(sf_dir: str) -> pd.DataFrame:
     the order a production feed runs. The decon filter is the broadcast
     shingle-set membership of q_decontamination (no shuffle added); the
     whole five-stage composition is value-hash oracle-gated end to end."""
-    from dstream_ray.pipelines.oracles import DECONTAM_BENCH_MOD
-
     docs = _read_documents(sf_dir, ["doc_id", "lang", "text"])
     ref = ray.put(_bench_shingle_set(docs, DECONTAM_BENCH_MOD))
 
@@ -2304,8 +1758,6 @@ def _token_counts_by_range(sf_dir: str):
     plus a coarse doc_id ``range_id`` sized so the driver's per-range table
     stays bounded (~<=100k rows) no matter the corpus size."""
     from ray.data.aggregate import Max
-
-    from dstream_ray.common import token_hash_arrays
 
     def tok_counts(b: pa.Table) -> pa.Table:
         _, offsets = token_hash_arrays(b["text"])
@@ -2472,9 +1924,6 @@ def q_hll_distinct_users(sf_dir: str) -> pd.DataFrame:
     one sketch per key per batch in map_batches, tiny driver-side merge.
     Rows-only for the driver (approximate ≠ SQL-exact); pytest bounds the
     error vs count(DISTINCT) at <5%."""
-    from dstream_ray.pipelines.queries import _tuned_read
-    from dstream_ray.stages.sketches import hll_merge_partials, hll_partial_batch
-
     ds = _tuned_read(os.path.join(sf_dir, "events.parquet"),
                      columns=["event_type", "user_id"])
     parts = ds.map_batches(
@@ -2490,9 +1939,6 @@ def q_hll_registers(sf_dir: str) -> pd.DataFrame:
     exact 64-bit wraparound arithmetic, so the sketch — not just its
     estimate — is value-hash-checked against SQL. Same mergeable-partial
     pipeline as :func:`q_hll_distinct_users`."""
-    from dstream_ray.pipelines.queries import _tuned_read
-    from dstream_ray.stages.sketches import HLL, hll_partial_batch
-
     ds = _tuned_read(
         os.path.join(sf_dir, "events.parquet"), columns=["event_type", "user_id"]
     )
@@ -2602,356 +2048,16 @@ def q_knn_ivf_int(sf_dir: str) -> pd.DataFrame:
     return _cosine_knn(sf_dir, q, lambda M, _ids: np.argmax(_fixed(M) @ C.T, axis=1), probes)
 
 
-def q_kmeans_step(sf_dir: str, n_clusters: int = IVF_INT_LISTS) -> pd.DataFrame:
-    """ONE exact distributed Lloyd iteration (the k-means step that
-    refines the ANN family's coarse quantizer): assign every corpus
-    vector to its nearest sampled fixed-point centroid by integer
-    squared L2 (smaller-cluster ties — the :func:`q_pq_encode`
-    convention), then the M-step per-cluster statistics — member count
-    ``n``, per-dimension coordinate sum ``s``, and the refined centroid
-    coordinate ``c_new = floor(s / n)``. Everything is in the ANN
-    family's 1e6 fixed-point integer domain, so DuckDB recomputes
-    assignments, sums and refined centroids bit-for-bit; the float
-    Lloyd variants (full convergence, recall-tested) remain in
-    :func:`q_knn_ivf`. Empty clusters emit no rows (both sides).
-
-    Scale shape: the K×D centroid block ships in the task closure;
-    each batch computes one vectorized assignment + ``np.add.at``
-    scatter and emits a FIXED K×D-row partial (counts + sums) no matter
-    the batch size — the 65536-slot BPE-partial discipline — so the
-    exchange carries K×D×batches tiny rows into one bounded groupby.
-    Iterating the step is N cheap passes like :func:`q_bpe_train`; the
-    driver holds only the K×D refined table."""
-    C = _sampled_centroids(sf_dir, n_clusters)
-    agg = _kmeans_assign_agg(sf_dir, C)
-    # refined coordinate: floor(s/n); |s| < 2^53 keeps the float exact
-    agg["c_new"] = np.floor(agg["s"].to_numpy(dtype=np.float64)
-                            / agg["n"].to_numpy(dtype=np.float64)).astype(np.int64)
-    return (agg.sort_values(["cluster_id", "dim"])
-            [["cluster_id", "dim", "n", "s", "c_new"]].reset_index(drop=True))
-
-
 def _sampled_centroids(sf_dir: str, n_clusters: int) -> np.ndarray:
-    """The ANN family's sampled fixed-point initial centroids (and PQ
-    codebook): the corpus vectors ``vec_id < n_clusters`` at floor(x*1e6)."""
+    """The ANN family's sampled fixed-point centroids: the corpus vectors
+    ``vec_id < n_clusters`` at floor(x*1e6)."""
     ctbl = pq.read_table(
         os.path.join(sf_dir, "embeddings.parquet"),
         columns=["vec_id", "embedding"],
         filters=[("vec_id", "<", n_clusters)],
     )
     corder = np.argsort(np.asarray(ctbl["vec_id"].to_pylist(), dtype=np.int64))
-    return _fixed_rows(ctbl["embedding"])[corder]
-
-
-def _kmeans_assign_agg(sf_dir: str, C: np.ndarray) -> pd.DataFrame:
-    """E-step + M-step sums for one Lloyd iteration against centroid
-    matrix ``C``: per-(cluster, dim) member count and coordinate sum
-    (integers; empty clusters absent). One map pass emitting a fixed
-    K×D-row partial per batch, one bounded groupby."""
-    from ray.data.aggregate import Sum
-
-    K, D = C.shape
-
-    def step_partial(b: pa.Table) -> pa.Table:
-        X = _fixed_rows(b["embedding"])
-        # np.argmin takes the FIRST minimum -> smaller cluster id wins ties
-        a = np.argmin(ann.sq_l2(X, C), axis=1)
-        n = np.bincount(a, minlength=K).astype(np.int64)
-        S = np.zeros((K, D))
-        np.add.at(S, a, X)
-        keep = np.flatnonzero(n)  # clusters this batch touched
-        kk = np.repeat(keep, D)
-        return pa.table({
-            "cluster_id": pa.array(kk),
-            "dim": pa.array(np.tile(np.arange(D, dtype=np.int64), len(keep))),
-            "n": pa.array(n[kk]),
-            "s": pa.array(S[keep].reshape(-1).astype(np.int64)),
-        })
-
-    agg = (_read_embeddings(sf_dir)
-           .map_batches(step_partial, batch_format="pyarrow", batch_size=4096)
-           .groupby(["cluster_id", "dim"])
-           .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
-           .to_pandas())  # <= K*D rows by construction
-    return agg.astype({"cluster_id": "int64", "dim": "int64",
-                       "n": "int64", "s": "int64"})
-
-
-def q_kmeans_train(
-    sf_dir: str,
-    n_clusters: int = IVF_INT_LISTS,
-    n_iters: int | None = None,
-) -> pd.DataFrame:
-    """The FULL distributed k-means (Lloyd) trainer, N exact iterations —
-    the refinement loop that turns the ANN family's sampled coarse
-    centroids into a trained quantizer, kept entirely in the 1e6
-    fixed-point integer domain so DuckDB replays every iteration
-    bit-for-bit (assignment by integer squared L2 with smaller-cluster
-    ties; M-step coordinate = floor(sum/count); a cluster that empties
-    keeps its previous coordinates — the standard convention). Output:
-    the trained centroid table ``(cluster_id, dim, n, c)`` where ``n``
-    is the final iteration's membership count.
-
-    Scale shape: iteration k is ONE streaming pass over the immutable
-    corpus (the :func:`_kmeans_assign_agg` fixed K×D-row partials +
-    bounded groupby) — the :func:`q_bpe_train` discipline: no working
-    dataset is materialized between iterations, every pass is
-    independently retryable, and the driver holds only the K×D centroid
-    matrix it ships back out with each pass. The float
-    full-convergence variants stay under the recall pytest in
-    :func:`q_knn_ivf`."""
-    from dstream_ray.pipelines.oracles import KMEANS_TRAIN_ITERS
-
-    if n_iters is None:
-        n_iters = KMEANS_TRAIN_ITERS
-    C = _sampled_centroids(sf_dir, n_clusters)
-    K, D = C.shape
-    n_last = np.zeros(K, dtype=np.int64)
-    for _ in range(n_iters):
-        agg = _kmeans_assign_agg(sf_dir, C)
-        C_next = C.copy()  # empty clusters keep their coordinates
-        ks = agg["cluster_id"].to_numpy()
-        js = agg["dim"].to_numpy()
-        C_next[ks, js] = np.floor(agg["s"].to_numpy(dtype=np.float64)
-                                  / agg["n"].to_numpy(dtype=np.float64))
-        C = C_next
-        n_last = np.zeros(K, dtype=np.int64)
-        per_k = agg.drop_duplicates("cluster_id")
-        n_last[per_k["cluster_id"].to_numpy()] = per_k["n"].to_numpy()
-    kk = np.repeat(np.arange(K, dtype=np.int64), D)
-    return pd.DataFrame({
-        "cluster_id": kk,
-        "dim": np.tile(np.arange(D, dtype=np.int64), K),
-        "n": n_last[kk],
-        "c": C.reshape(-1).astype(np.int64),
-    })
-
-
-def _trained_centroids(sf_dir: str, n_lists: int, n_iters: int | None) -> np.ndarray:
-    """The (n_lists, D) centroid matrix :func:`q_kmeans_train` learns."""
-    trained = q_kmeans_train(sf_dir, n_clusters=n_lists, n_iters=n_iters)
-    C = np.zeros((n_lists, int(trained["dim"].max()) + 1))
-    C[trained["cluster_id"].to_numpy(), trained["dim"].to_numpy()] = (
-        trained["c"].to_numpy(dtype=np.float64))
-    return C
-
-
-def q_knn_ivf_trained(
-    sf_dir: str,
-    n_lists: int = IVF_INT_LISTS,
-    n_probe: int = IVF_INT_PROBE,
-    n_iters: int | None = None,
-    k: int = KNN_K,
-) -> pd.DataFrame:
-    """IVF search over the TRAINED coarse quantizer — the composed
-    train→index→search production pipeline: :func:`q_kmeans_train`'s
-    N-iteration Lloyd centroids replace the raw samples, every corpus
-    vector routes to its L2-nearest trained centroid, queries probe
-    their ``n_probe`` L2-nearest lists, and candidates in probed lists
-    are ranked by the EXACT integer squared L2 (so probing ALL lists
-    reduces to exact brute-force KNN — pytest-pinned). The entire
-    composition stays in the 1e6 fixed-point domain; DuckDB replays
-    training, routing, probing and ranking bit-for-bit.
-
-    Scale shape: training is N bounded-groupby passes (see
-    :func:`q_kmeans_train`); search is the :func:`q_knn_ivf_int` shape —
-    per-batch assignment + probe pruning BEFORE distance work, per-query
-    partial top-k (nq*k rows per batch), tiny driver merge."""
-    C = _trained_centroids(sf_dir, n_lists, n_iters)
-    q = _load_queries(sf_dir)
-    Qf = _fixed(q["vecs"])
-    probes = np.argsort(ann.sq_l2(Qf, C), axis=1, kind="stable")[:, :n_probe]
-    return ann.knn_search(
-        _read_embeddings(sf_dir), q["ids"], lambda X: ann.sq_l2(Qf, X), k=k,
-        score_col="d2", embed=_fixed_rows, probes=probes,
-        # first minimum = smaller list id
-        route=lambda X, _ids: np.argmin(ann.sq_l2(X, C), axis=1),
-    )
-
-
-# ---------------------------------------------------------------------------
-# product quantization (PQ-ADC) and its IVF compositions
-# ---------------------------------------------------------------------------
-
-
-PQ_M = 8          # subspaces (64-dim vectors -> 8 dims per subspace)
-PQ_K = 16         # codewords per subspace (sampled, vec_id < PQ_K)
-PQ_SCALE = 1_000_000.0  # the ANN family's fixed-point scheme
-
-
-def q_pq_encode(sf_dir: str) -> rd.Dataset:
-    """Product quantization (Jégou et al. 2011) of the embedding corpus —
-    the memory-scale path for ANN at 10^11+ vectors (64 float32 dims ->
-    PQ_M uint8-range codes). Codebooks are INTEGER-EXACT by construction
-    so DuckDB recomputes every code bit-for-bit: codeword k of subspace m
-    is the (floor(x*1e6)-quantized) sub-vector of the corpus vector
-    ``vec_id == k`` (FAISS-style sampled codebook — the Lloyd-refined
-    variant belongs with the float quantizers under recall pytests);
-    assignment is the integer squared-L2 argmin with smaller-k tiebreak
-    (np.argmin takes the first minimum). Every squared distance is a sum
-    of 8 products of values |.| <= ~8e6, < 2^53, so the vectorized
-    float64 arithmetic is exact and equals DuckDB's BIGINT arithmetic.
-
-    Scale shape: the PQ_M*PQ_K codebook rides to every task in the
-    closure; encoding is one map_batches (no shuffle, no driver loop);
-    per-vec output is PQ_M codes + the integer reconstruction error (the
-    ADC table for search is a per-query constant built from the same
-    codebook)."""
-    C = _sampled_centroids(sf_dir, PQ_K)
-
-    def encode(b: pa.Table) -> pa.Table:
-        codes, err = ann.pq_encode(_fixed_rows(b["embedding"]), C, PQ_M)
-        cols = {"vec_id": b["vec_id"]}
-        for m in range(PQ_M):
-            cols[f"code_{m}"] = pa.array(codes[:, m])
-        cols["recon_err"] = pa.array(err)
-        return pa.table(cols)
-
-    return _read_embeddings(sf_dir).map_batches(encode, batch_format="pyarrow")
-
-
-def _adc_search(sf_dir: str, k: int, list_dist=None, n_probe: int = 0) -> pd.DataFrame:
-    """PQ-ADC top-k over the sampled codebook, optionally IVF-routed:
-    ``list_dist`` gives fixed-point rows' (n, n_lists) distances to the
-    coarse lists (smaller is nearer). Rows route to their nearest list
-    (first minimum = smaller list id), queries probe their ``n_probe``
-    nearest (stable sort: smaller-id ties), and only rows of probed lists
-    are PQ-encoded and ADC-scored."""
-    C_pq = _sampled_centroids(sf_dir, PQ_K)
-    q = _load_queries(sf_dir)
-    Qf = _fixed(q["vecs"])
-    T = ann.adc_tables(Qf, C_pq, PQ_M)
-    route = probes = None
-    if list_dist is not None:
-        probes = np.argsort(list_dist(Qf), axis=1, kind="stable")[:, :n_probe]
-
-        def route(X, _ids):  # first minimum = smaller list id
-            return np.argmin(list_dist(X), axis=1)
-
-    return ann.knn_search(
-        _read_embeddings(sf_dir), q["ids"],
-        lambda X: ann.adc_scores(T, ann.pq_encode(X, C_pq, PQ_M)[0]),
-        k=k, score_col="adc", embed=_fixed_rows, route=route, probes=probes,
-    )
-
-
-def q_pq_search(sf_dir: str) -> pd.DataFrame:
-    """ADC (asymmetric distance computation) top-k over the PQ codes of
-    :func:`q_pq_encode` — the query path of product-quantized ANN: each
-    query precomputes a PQ_M x PQ_K table of integer squared distances to
-    every codeword, and a database vector's distance is the sum of PQ_M
-    table lookups on its codes (never touching the raw vector). All
-    arithmetic stays in the exact-integer domain of the fixed-point
-    codebook, so DuckDB recomputes codes, tables, lookups and ranking
-    bit-for-bit. Ties break on smaller neighbor id; self-matches are
-    excluded (query vectors are corpus vectors).
-
-    Scale shape: the query tables ride in the task closure; each batch
-    encodes itself and emits per-query partial top-k rows (nq*k per
-    batch), merged by the tiny driver merge — the brute-force path's shape
-    with lookups instead of a matmul."""
-    return _adc_search(sf_dir, KNN_K)
-
-
-def q_knn_ivfpq(
-    sf_dir: str,
-    n_lists: int = IVF_INT_LISTS,
-    n_probe: int = IVF_INT_PROBE,
-    k: int = KNN_K,
-) -> pd.DataFrame:
-    """IVF+PQ — the composed billion-to-trillion-vector ANN architecture
-    (Jégou et al. 2011): the integer-exact coarse quantizer of
-    :func:`q_knn_ivf_int` routes every corpus vector to an inverted list
-    (argmax fixed-point dot, smaller-list ties), queries probe their
-    ``n_probe`` best lists, and WITHIN the probed lists distances come
-    from the PQ-ADC tables of :func:`q_pq_search` (integer squared-L2
-    codes + per-query PQ_M×PQ_K lookup tables) — the raw vectors of the
-    probed lists are never touched by the query path. Both halves keep
-    their exact fixed-point recipes, so DuckDB recomputes list
-    assignments, probes, codes, ADC tables and the final ranking
-    bit-for-bit. Ties break on smaller neighbor id; self-matches are
-    excluded (query vectors are corpus vectors).
-
-    Scale shape: ONE map_batches pass — coarse-assign the batch, drop rows
-    outside every probed list BEFORE PQ-encoding them, ADC-score survivors
-    per probing query, emit per-query partial top-k (nq*k rows per batch).
-    The closure state (coarse centroids + codebook + query tables + probe
-    sets) is a few KiB. Recall vs brute force is pytest-bounded and pinned
-    to beat an equal-compute unrouted-subset PQ scan; full-probe
-    composition equals q_pq_search exactly."""
-    C_ivf = _sampled_centroids(sf_dir, n_lists)
-    return _adc_search(sf_dir, k, lambda A: -(A @ C_ivf.T), n_probe)
-
-
-IVFPQ_RERANK_R = 30  # ADC shortlist size refined by the exact pass
-
-
-def q_knn_ivfpq_rerank(
-    sf_dir: str,
-    n_lists: int = IVF_INT_LISTS,
-    n_probe: int = IVF_INT_PROBE,
-    r: int = IVFPQ_RERANK_R,
-    k: int = KNN_K,
-) -> pd.DataFrame:
-    """IVFADC+R — the refinement stage production ANN systems put behind
-    the PQ scan (Jégou et al. 2011 §V): :func:`q_knn_ivfpq` produces an
-    ADC-ranked shortlist of ``r`` candidates per query, and a second pass
-    re-ranks ONLY those candidates by their EXACT fixed-point squared-L2
-    distance from the raw vectors, returning the exact-ranked top ``k``.
-    Every quantity (codes, ADC sums, exact distances) stays in the ANN
-    family's 1e6 fixed-point integer domain — each d2 is a sum of 64
-    products < 2^53 — so DuckDB recomputes shortlist AND re-rank
-    bit-for-bit. Ties break on smaller neighbor id; self-matches are
-    excluded.
-
-    Guaranteed-recall property (pytest-pinned): over the same probed
-    candidates, every true top-k member the plain ADC ranking can return
-    has ADC-rank <= k <= r, so it survives into the shortlist, and exact
-    re-ranking always keeps true members above non-members — recall@k of
-    the re-ranked list >= plain :func:`q_knn_ivfpq` recall, at the cost
-    of fetching r raw vectors per query.
-
-    Scale shape: pass 1 is the IVF+PQ scan (codes only, partial top-r per
-    batch, nq*r driver rows); pass 2 is a :func:`ann.knn_search` whose
-    "lists" are the vec_ids themselves and whose probes are each query's
-    shortlist (nq*r ids, a few KiB): each batch is filtered to shortlist
-    members — at deployment scale with vec_id-partitioned storage a
-    partition-pruned point-fetch of nq*r rows, the standard 'fetch the
-    full vectors of the shortlist' refine — and ranked by exact d2."""
-    shortlist = q_knn_ivfpq(sf_dir, n_lists, n_probe, k=r)
-    q = _load_queries(sf_dir)
-    Qf = _fixed(q["vecs"])
-    sq, sn = (shortlist[c].to_numpy(dtype=np.int64) for c in ("query_id", "neighbor_id"))
-    return ann.knn_search(
-        _read_embeddings(sf_dir), q["ids"], lambda X: ann.sq_l2(Qf, X), k=k,
-        score_col="d2", embed=_fixed_rows, route=lambda _X, ids: ids,
-        probes=[sn[sq == qid] for qid in q["ids"]],
-    )
-
-
-def q_knn_ivfpq_trained(
-    sf_dir: str,
-    n_lists: int = IVF_INT_LISTS,
-    n_probe: int = IVF_INT_PROBE,
-    n_iters: int | None = None,
-    k: int = KNN_K,
-) -> pd.DataFrame:
-    """The full production ANN stack, composed end-to-end: the
-    :func:`q_kmeans_train` Lloyd loop trains the coarse quantizer, every
-    corpus vector routes to its L2-nearest TRAINED centroid, queries
-    probe their ``n_probe`` L2-nearest lists, and candidates in probed
-    lists are scored by the PQ-ADC tables of :func:`q_pq_search` (codes
-    from the sampled codebook — training the 8 sub-codebooks is the same
-    loop per subspace and deliberately left sampled so the oracle stays
-    one chain). Train → route → compress → probe → ADC: every stage in
-    the 1e6 fixed-point integer domain, DuckDB replays the whole
-    composition bit-for-bit. Ties break on smaller id; self excluded.
-
-    Scale shape: N bounded-groupby training passes, then the
-    :func:`q_knn_ivfpq` search shape (route + prune BEFORE the PQ encode,
-    nq*k partial rows per batch, tiny driver merge)."""
-    C_ivf = _trained_centroids(sf_dir, n_lists, n_iters)
-    return _adc_search(sf_dir, k, lambda A: ann.sq_l2(A, C_ivf), n_probe)
+    return _fixed(ann._stack(ctbl["embedding"]))[corder]
 
 
 # ---------------------------------------------------------------------------
@@ -2963,8 +2069,6 @@ def q_big_spenders(sf_dir: str) -> pd.DataFrame:
     """orders ⋈ customer with Ray Data's native hash join (both sides
     treated as large; contrast with the broadcast join in queries.py),
     then per-segment stats for customers with >= 12 orders."""
-    from dstream_ray.pipelines.queries import _tuned_read
-
     orders = _tuned_read(
         os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
     )
@@ -3041,8 +2145,6 @@ def q_mixture_sample(sf_dir: str) -> pd.DataFrame:
     mirrors the SQL running-sum window ``cum <= budget`` over
     (gate, doc_id) order."""
     from ray.data.aggregate import Sum
-
-    from dstream_ray.pipelines.oracles import MIX_SHARE_X1000, MIX_WEIGHTS
 
     def project(b: pa.Table) -> pa.Table:
         _, offsets = token_hash_arrays(b["text"])

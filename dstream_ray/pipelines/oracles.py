@@ -180,11 +180,6 @@ SELECT doc_id,
 FROM scored
 """
 
-ORACLE_SQL["lang_stats"] = """
-SELECT lang, count(*) AS n_docs, CAST(sum(n_chars) AS BIGINT) AS total_chars
-FROM documents GROUP BY 1
-"""
-
 # whole-doc Horner polynomial hash mod 2^64 (base 1000003), mirroring
 # stages/text.fingerprint_poly exactly; ASCII contract: ord(char) == byte.
 ORACLE_SQL["doc_fingerprint"] = """
@@ -639,141 +634,10 @@ ORDER BY window_id, conv_id, turn_idx
 # watermark-closure twin: early emission must produce the identical sample
 ORACLE_SQL["streaming_sample_wm"] = ORACLE_SQL["streaming_sample"]
 
-# First BPE-training iteration (dataops.q_byte_pair_counts): global counts
-# of adjacent character pairs (== byte pairs under the ASCII oracle
-# contract), top-30 by (count DESC, pair).
-ORACLE_SQL["byte_pair_counts"] = """
-WITH expl AS (
-  SELECT text, unnest(generate_series(1, length(text) - 1)) AS i
-  FROM documents WHERE length(text) >= 2
-), pairs AS (
-  SELECT substring(text, CAST(i AS INTEGER), 2) AS pair FROM expl
-)
-SELECT pair, CAST(count(*) AS BIGINT) AS n FROM pairs GROUP BY 1
-ORDER BY n DESC, pair LIMIT 30
-"""
-
-# Two BPE training iterations (dataops.q_bpe_train_steps): iteration 1 =
-# the pair counts above; the top merge (count DESC, pair tie-break) is
-# applied corpus-wide via left-to-right non-overlapping replace() with
-# chr(1) as the merged symbol, and iteration 2 recounts. Top-10 each.
-ORACLE_SQL["bpe_train_steps"] = """
-WITH expl1 AS (
-  SELECT text, unnest(generate_series(1, length(text) - 1)) AS i
-  FROM documents WHERE length(text) >= 2
-), c1 AS (
-  SELECT substring(text, CAST(i AS INTEGER), 2) AS pair,
-         CAST(count(*) AS BIGINT) AS n
-  FROM expl1 GROUP BY 1
-), top1 AS (
-  SELECT pair FROM c1 ORDER BY n DESC, pair LIMIT 1
-), docs2 AS (
-  SELECT replace(text, (SELECT pair FROM top1), chr(1)) AS text
-  FROM documents
-), expl2 AS (
-  SELECT text, unnest(generate_series(1, length(text) - 1)) AS i
-  FROM docs2 WHERE length(text) >= 2
-), c2 AS (
-  SELECT substring(text, CAST(i AS INTEGER), 2) AS pair,
-         CAST(count(*) AS BIGINT) AS n
-  FROM expl2 GROUP BY 1
-)
-SELECT * FROM (
-  (SELECT CAST(1 AS BIGINT) AS it, pair, n FROM c1
-   ORDER BY n DESC, pair LIMIT 10)
-  UNION ALL
-  (SELECT CAST(2 AS BIGINT) AS it, pair, n FROM c2
-   ORDER BY n DESC, pair LIMIT 10)
-) ORDER BY it, n DESC, pair
-"""
-
-# Full N-merge BPE training loop (dataops.q_bpe_train): the learned merge
-# list. Merge symbols are control bytes that the ASCII oracle contract
-# guarantees absent from the raw corpus (tab/LF/CR excluded — those ARE
-# legal corpus bytes), so replace() stays injective on every iteration
-# and byte pairs == character pairs throughout.
-BPE_TRAIN_MERGES = 16
-BPE_MERGE_SYMBOLS = tuple(chr(c) for c in (*range(1, 9), *range(14, 32)))
-
-
-def _bpe_train_oracle_sql(n_merges: int = BPE_TRAIN_MERGES) -> str:
-    """Generate the N-stage DuckDB twin of the distributed BPE loop:
-    stage k counts adjacent character pairs over corpus generation d_k,
-    takes the top merge by (n DESC, pair ASC), and d_{k+1} applies it
-    via left-to-right non-overlapping replace() with the k-th reserved
-    merge symbol. If the corpus exhausts early, t_k goes empty and every
-    later generation nulls out — the UNION then yields exactly the
-    merges the engine also stops at."""
-    # every d_k / t_k is referenced twice (the count and the next
-    # generation / the union) — MATERIALIZED stops DuckDB's CTE inlining
-    # from expanding the chain into 2^N scans of the parquet file
-    parts = ["WITH d0 AS MATERIALIZED (SELECT text FROM documents)"]
-    for k in range(n_merges):
-        sym = ord(BPE_MERGE_SYMBOLS[k])
-        parts.append(f""", c{k} AS (
-  SELECT substring(text, CAST(i AS INTEGER), 2) AS pair,
-         CAST(count(*) AS BIGINT) AS n
-  FROM (SELECT text, unnest(generate_series(1, length(text) - 1)) AS i
-        FROM d{k} WHERE length(text) >= 2)
-  GROUP BY 1
-), t{k} AS MATERIALIZED (
-  SELECT pair, n FROM c{k} ORDER BY n DESC, pair LIMIT 1
-), d{k + 1} AS MATERIALIZED (
-  SELECT replace(text, (SELECT pair FROM t{k}), chr({sym})) AS text FROM d{k}
-)""")
-    union = "\n  UNION ALL\n  ".join(
-        f"SELECT CAST({k + 1} AS BIGINT) AS step, pair, n FROM t{k}"
-        for k in range(n_merges)
-    )
-    parts.append(f"\nSELECT * FROM (\n  {union}\n) ORDER BY step\n")
-    return "".join(parts)
-
-
-ORACLE_SQL["bpe_train"] = _bpe_train_oracle_sql()
-
-
-def _bpe_encode_oracle_sql(n_merges: int = BPE_TRAIN_MERGES) -> str:
-    """The ENCODE twin of :func:`_bpe_train_oracle_sql`
-    (dataops.q_bpe_encode): the same N-stage learn chain, but every
-    generation carries (doc_id, n_chars) so the final stage can read off
-    each document's BPE token count as the merged string's length —
-    after the merge chain every symbol is one character, the identity
-    the engine also uses."""
-    parts = [
-        "WITH d0 AS MATERIALIZED "
-        "(SELECT doc_id, n_chars, text FROM documents)"
-    ]
-    for k in range(n_merges):
-        sym = ord(BPE_MERGE_SYMBOLS[k])
-        parts.append(f""", c{k} AS (
-  SELECT substring(text, CAST(i AS INTEGER), 2) AS pair,
-         CAST(count(*) AS BIGINT) AS n
-  FROM (SELECT text, unnest(generate_series(1, length(text) - 1)) AS i
-        FROM d{k} WHERE length(text) >= 2)
-  GROUP BY 1
-), t{k} AS MATERIALIZED (
-  SELECT pair, n FROM c{k} ORDER BY n DESC, pair LIMIT 1
-), d{k + 1} AS MATERIALIZED (
-  SELECT doc_id, n_chars,
-         CASE WHEN (SELECT count(*) FROM t{k}) = 0 THEN text
-              ELSE replace(text, (SELECT pair FROM t{k}), chr({sym})) END
-           AS text
-  FROM d{k}
-)""")
-    parts.append(f"""
-SELECT doc_id, CAST(n_chars AS BIGINT) AS n_chars,
-       CAST(length(text) AS BIGINT) AS n_tok_bpe
-FROM d{n_merges} ORDER BY doc_id
-""")
-    return "".join(parts)
-
-
-ORACLE_SQL["bpe_encode"] = _bpe_encode_oracle_sql()
-
 # Ingest-time inverted-index maintenance (capture.index_kernel through the
 # engine): the committed postings sink equals the per-(token, turn) term
-# frequencies of the whole transcripts feed — same whitespace tokenization
-# contract as the batch inverted_index oracle.
+# frequencies of the whole transcripts feed, under the whitespace
+# tokenization contract of every documents oracle.
 ORACLE_SQL["streaming_index"] = f"""
 WITH {TRANSCRIPTS_CTE},
 pos AS (
@@ -1886,6 +1750,7 @@ FROM h JOIN thr USING (lang)
 WHERE gate < thr.t::HUGEINT
 """
 
+
 # curation_v2 = decontamination composed in FRONT of the curation flow.
 # Built from the curation_pipeline oracle by substitution so the two stay
 # single-sourced: the decon CTEs (shared _TOKS_TH/_SHING_CTE + the
@@ -1940,7 +1805,6 @@ SELECT lang, CAST([50, 90, 99][i] AS BIGINT) AS q_pct, CAST(qs[i] AS BIGINT) AS 
 FROM qd, (SELECT unnest(generate_series(1, 3)) AS i)
 """
 
-# corpus-wide top-k tokens, deterministic (count desc, token asc) tie-break
 # Integer-exact tf-idf top terms (dataops.q_tfidf_top_terms): score =
 # tf * N // df in pure integer arithmetic, so both sides agree bit-for-bit
 ORACLE_SQL["tfidf_top_terms"] = """
@@ -1989,579 +1853,6 @@ SELECT token,
 FROM pd GROUP BY token
 """
 
-# Integer-exact BM25 retrieval (dataops.q_bm25_search): same whitespace
-# tokenization as the inverted-index oracle, query terms = the df-ranked
-# tokens at positions (10, 20, 30, 40) with (df DESC, token) tie-break,
-# and the identical integer quantization recipe — idf x1e4 via
-# (10000*(2N-2df+1)) // (2df+1), relative doc length x1e3 via
-# (1000*dl*N) // TL, per-term score (idf_q*22000*tf) // (10000*tf + 3000
-# + 9*L_q) — so every score matches the engine bit-for-bit. Top-10 by
-# (score DESC, doc_id).
-# shared BM25 scoring CTE chain (ends at `scored`): used by both the
-# standalone bm25_search oracle and the hybrid_search fusion oracle.
-_BM25_SCORED_CTE = """
-WITH pos AS (
-  SELECT doc_id,
-         unnest(string_split_regex(trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)),
-                                   '[ \\t\\n\\x0b\\x0c\\r]+')) AS token
-  FROM documents
-  WHERE trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)) <> ''
-),
-pd AS (
-  SELECT token, doc_id, CAST(count(*) AS BIGINT) AS tf
-  FROM pos GROUP BY 1, 2
-),
-dl AS (
-  SELECT doc_id, CAST(count(*) AS BIGINT) AS dl FROM pos GROUP BY 1
-),
-stats AS (
-  SELECT (SELECT CAST(count(*) AS BIGINT) FROM documents) AS n,
-         CAST(sum(tf) AS BIGINT) AS tl
-  FROM pd
-),
-dfreq AS (
-  SELECT token, CAST(count(*) AS BIGINT) AS df FROM pd GROUP BY 1
-),
-qterms AS (
-  SELECT token, df FROM (
-    SELECT token, df,
-           row_number() OVER (ORDER BY df DESC, token) AS rnk
-    FROM dfreq
-  ) WHERE rnk IN (10, 20, 30, 40)
-),
-scored AS (
-  SELECT pd.doc_id,
-         ( ((10000 * (2*stats.n - 2*q.df + 1)) // (2*q.df + 1))
-           * 22000 * pd.tf )
-         // ( 10000 * pd.tf + 3000
-              + 9 * ((1000 * dl.dl * stats.n) // stats.tl) ) AS s
-  FROM pd
-  JOIN qterms q USING (token)
-  JOIN dl USING (doc_id)
-  CROSS JOIN stats)
-"""
-
-ORACLE_SQL["bm25_search"] = _BM25_SCORED_CTE + """
-SELECT CAST(doc_id AS BIGINT) AS doc_id, CAST(sum(s) AS BIGINT) AS score
-FROM scored GROUP BY doc_id
-ORDER BY score DESC, doc_id
-LIMIT 10
-"""
-
-# Deterministic per-language corpus subsample (dataops.q_corpus_sample):
-# bottom-k by fmix64(fnv1a(str(doc_id))) per language, recomputed in
-# HUGEINT (same emulation as the HLL/streaming_sample oracles).
-ORACLE_SQL["corpus_sample"] = """
-WITH base AS (
-  SELECT lang, doc_id, n_chars, CAST(doc_id AS VARCHAR) AS key
-  FROM documents
-), fnv AS (
-  SELECT *, list_reduce(
-      list_prepend(14695981039346656037::HUGEINT,
-                   list_transform(split(key, ''), c -> ord(c)::HUGEINT)),
-      (h, b) -> (xor(h, b) * 1099511628211) % (1::HUGEINT << 64)) AS h0
-  FROM base
-), mix1 AS (SELECT *, xor(h0, h0 >> 33) AS h1 FROM fnv
-), mul1 AS (
-  SELECT *, ( ((h1 >> 32) * 18397679294719823053::HUGEINT % (1::HUGEINT << 32)) * (1::HUGEINT << 32)
-      + (h1 % (1::HUGEINT << 32)) * 18397679294719823053::HUGEINT ) % (1::HUGEINT << 64) AS h2
-  FROM mix1
-), mix2 AS (SELECT *, xor(h2, h2 >> 33) AS h3 FROM mul1
-), mul2 AS (
-  SELECT *, ( ((h3 >> 32) * 14181476777654086739::HUGEINT % (1::HUGEINT << 32)) * (1::HUGEINT << 32)
-      + (h3 % (1::HUGEINT << 32)) * 14181476777654086739::HUGEINT ) % (1::HUGEINT << 64) AS h4
-  FROM mix2
-), mixed AS (
-  SELECT lang, doc_id, n_chars, xor(h4, h4 >> 33) AS h FROM mul2
-)
-SELECT lang, CAST(doc_id AS BIGINT) AS doc_id, CAST(n_chars AS BIGINT) AS n_chars
-FROM mixed
-QUALIFY row_number() OVER (PARTITION BY lang ORDER BY h, doc_id) <= 20
-ORDER BY lang, doc_id
-"""
-
-# Hybrid retrieval (dataops.q_hybrid_search): BM25 ranking (the CTE above)
-# + dense integer-dot ranking vs the lowest-vec_id query embedding, fused
-# by integer Reciprocal Rank Fusion — each ranker contributes
-# 1_000_000 // (60 + rank) for its top-50; fused top-10 by (rrf, doc_id).
-ORACLE_SQL["hybrid_search"] = _BM25_SCORED_CTE + """,
-bagg AS (
-  SELECT doc_id, CAST(sum(s) AS BIGINT) AS score FROM scored GROUP BY doc_id
-),
-lexr AS (
-  SELECT doc_id, row_number() OVER (ORDER BY score DESC, doc_id) AS r
-  FROM bagg
-),
-lex AS (
-  SELECT doc_id, 1000000 // (60 + r) AS c FROM lexr WHERE r <= 50
-),
-qv AS (
-  SELECT list_transform(CAST(embedding AS DOUBLE[]),
-                        x -> CAST(floor(x * 1000000) AS BIGINT)) AS e
-  FROM embeddings ORDER BY vec_id LIMIT 1
-),
-qd AS (SELECT unnest(e) AS w, generate_subscripts(e, 1) AS d FROM qv),
-ei AS (
-  SELECT vec_id, list_transform(CAST(embedding AS DOUBLE[]),
-                                x -> CAST(floor(x * 1000000) AS BIGINT)) AS e
-  FROM embeddings
-),
-ev AS (SELECT vec_id, unnest(e) AS x, generate_subscripts(e, 1) AS d FROM ei),
-dots AS (SELECT vec_id, sum(x * w) AS s FROM ev JOIN qd USING (d) GROUP BY 1),
-denr AS (
-  SELECT vec_id AS doc_id, row_number() OVER (ORDER BY s DESC, vec_id) AS r
-  FROM dots
-),
-den AS (
-  SELECT doc_id, 1000000 // (60 + r) AS c FROM denr WHERE r <= 50
-),
-fused AS (
-  SELECT COALESCE(lex.doc_id, den.doc_id) AS doc_id,
-         COALESCE(lex.c, 0) + COALESCE(den.c, 0) AS rrf
-  FROM lex FULL OUTER JOIN den ON lex.doc_id = den.doc_id
-)
-SELECT CAST(doc_id AS BIGINT) AS doc_id, CAST(rrf AS BIGINT) AS rrf
-FROM fused
-ORDER BY rrf DESC, doc_id
-LIMIT 10
-"""
-
-# Product quantization: codeword k of subspace m is the floor(x*1e6)
-# sub-vector of the corpus vector vec_id == k; assignment = integer
-# squared-L2 argmin with smaller-k tiebreak; recon_err sums the PQ_M
-# minimum distances. Mirrors dataops.q_pq_encode's constants (M=8, K=16
-# over 64 dims -> 8 dims/subspace).
-ORACLE_SQL["pq_encode"] = """
-WITH vals AS (
-  SELECT vec_id,
-         CAST(floor(unnest(CAST(embedding AS DOUBLE[])) * 1000000) AS BIGINT) AS x,
-         unnest(generate_series(1, len(embedding))) AS j
-  FROM embeddings
-),
-sub AS (SELECT vec_id, x, j, CAST((j - 1) // 8 AS BIGINT) AS m FROM vals),
-cb AS (SELECT vec_id AS k, x AS c, j, m FROM sub WHERE vec_id < 16),
-dist AS (
-  SELECT a.vec_id, a.m, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM sub a JOIN cb b ON a.m = b.m AND a.j = b.j
-  GROUP BY 1, 2, 3
-),
-best AS (
-  SELECT vec_id, m, k, dd,
-         row_number() OVER (PARTITION BY vec_id, m ORDER BY dd, k) AS rn
-  FROM dist
-)
-SELECT vec_id,
-  CAST(max(CASE WHEN m = 0 THEN k END) AS BIGINT) AS code_0,
-  CAST(max(CASE WHEN m = 1 THEN k END) AS BIGINT) AS code_1,
-  CAST(max(CASE WHEN m = 2 THEN k END) AS BIGINT) AS code_2,
-  CAST(max(CASE WHEN m = 3 THEN k END) AS BIGINT) AS code_3,
-  CAST(max(CASE WHEN m = 4 THEN k END) AS BIGINT) AS code_4,
-  CAST(max(CASE WHEN m = 5 THEN k END) AS BIGINT) AS code_5,
-  CAST(max(CASE WHEN m = 6 THEN k END) AS BIGINT) AS code_6,
-  CAST(max(CASE WHEN m = 7 THEN k END) AS BIGINT) AS code_7,
-  CAST(sum(dd) AS BIGINT) AS recon_err
-FROM best WHERE rn = 1 GROUP BY vec_id
-"""
-
-# ADC top-k search over the PQ codes: per-query integer distance tables
-# to every codeword, database distance = sum of PQ_M lookups on the
-# assigned codes. Same constants as pq_encode; queries = vec_id < 8
-# (the knn family's query set), k = 10, self-matches excluded.
-ORACLE_SQL["pq_search"] = """
-WITH vals AS (
-  SELECT vec_id,
-         CAST(floor(unnest(CAST(embedding AS DOUBLE[])) * 1000000) AS BIGINT) AS x,
-         unnest(generate_series(1, len(embedding))) AS j
-  FROM embeddings
-),
-sub AS (SELECT vec_id, x, j, CAST((j - 1) // 8 AS BIGINT) AS m FROM vals),
-cb AS (SELECT vec_id AS k, x AS c, j, m FROM sub WHERE vec_id < 16),
-dist AS (
-  SELECT a.vec_id, a.m, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM sub a JOIN cb b ON a.m = b.m AND a.j = b.j
-  GROUP BY 1, 2, 3
-),
-codes AS (
-  SELECT vec_id, m, k FROM (
-    SELECT vec_id, m, k,
-           row_number() OVER (PARTITION BY vec_id, m ORDER BY dd, k) AS rn
-    FROM dist) WHERE rn = 1
-),
-qd AS (
-  SELECT a.vec_id AS qid, a.m, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM sub a JOIN cb b ON a.m = b.m AND a.j = b.j
-  WHERE a.vec_id < 8
-  GROUP BY 1, 2, 3
-),
-adc AS (
-  SELECT q.qid AS query_id, c.vec_id AS neighbor_id,
-         CAST(sum(q.dd) AS BIGINT) AS adc
-  FROM codes c JOIN qd q ON q.m = c.m AND q.k = c.k
-  WHERE c.vec_id <> q.qid
-  GROUP BY 1, 2
-)
-SELECT query_id, neighbor_id, adc, CAST(rank AS BIGINT) AS rank FROM (
-  SELECT query_id, neighbor_id, adc,
-         row_number() OVER (PARTITION BY query_id ORDER BY adc, neighbor_id) AS rank
-  FROM adc) WHERE rank <= 10
-"""
-
-# IVF+PQ composition (dataops.q_knn_ivfpq): the knn_ivf coarse quantizer
-# (argmax integer dot over the vec_id < 16 sampled centroids, smaller-list
-# ties; queries probe their 4 best lists) routes candidates, and distances
-# within probed lists are the pq_search ADC sums over the assigned codes.
-# Candidates = vectors assigned to a probed list, self excluded; final
-# ranking (adc ASC, neighbor_id ASC), top 10 per query.
-ORACLE_SQL["knn_ivfpq"] = """
-WITH vals AS (
-  SELECT vec_id,
-         CAST(floor(unnest(CAST(embedding AS DOUBLE[])) * 1000000) AS BIGINT) AS x,
-         unnest(generate_series(1, len(embedding))) AS j
-  FROM embeddings
-),
-dots AS (
-  SELECT a.vec_id, b.vec_id AS l, sum(a.x * b.x) AS s
-  FROM vals a JOIN vals b ON a.j = b.j AND b.vec_id < 16
-  GROUP BY 1, 2
-),
-assign AS (
-  SELECT vec_id, l AS ivf_list FROM (
-    SELECT vec_id, l,
-           row_number() OVER (PARTITION BY vec_id ORDER BY s DESC, l) AS rn
-    FROM dots) WHERE rn = 1
-),
-qprobe AS (
-  SELECT vec_id AS qid, l AS pl FROM (
-    SELECT vec_id, l,
-           row_number() OVER (PARTITION BY vec_id ORDER BY s DESC, l) AS rn
-    FROM dots WHERE vec_id < 8) WHERE rn <= 4
-),
-sub AS (SELECT vec_id, x, j, CAST((j - 1) // 8 AS BIGINT) AS m FROM vals),
-cb AS (SELECT vec_id AS k, x AS c, j, m FROM sub WHERE vec_id < 16),
-dist AS (
-  SELECT a.vec_id, a.m, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM sub a JOIN cb b ON a.m = b.m AND a.j = b.j
-  GROUP BY 1, 2, 3
-),
-codes AS (
-  SELECT vec_id, m, k FROM (
-    SELECT vec_id, m, k,
-           row_number() OVER (PARTITION BY vec_id, m ORDER BY dd, k) AS rn
-    FROM dist) WHERE rn = 1
-),
-qd AS (
-  SELECT a.vec_id AS qid, a.m, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM sub a JOIN cb b ON a.m = b.m AND a.j = b.j
-  WHERE a.vec_id < 8
-  GROUP BY 1, 2, 3
-),
-cand AS (
-  SELECT DISTINCT p.qid, a.vec_id AS nid
-  FROM qprobe p JOIN assign a ON a.ivf_list = p.pl
-  WHERE a.vec_id <> p.qid
-),
-adc AS (
-  SELECT cd.qid AS query_id, c.vec_id AS neighbor_id,
-         CAST(sum(q.dd) AS BIGINT) AS adc
-  FROM cand cd
-  JOIN codes c ON c.vec_id = cd.nid
-  JOIN qd q ON q.qid = cd.qid AND q.m = c.m AND q.k = c.k
-  GROUP BY 1, 2
-)
-SELECT query_id, neighbor_id, adc, CAST(rank AS BIGINT) AS rank FROM (
-  SELECT query_id, neighbor_id, adc,
-         row_number() OVER (PARTITION BY query_id ORDER BY adc, neighbor_id) AS rank
-  FROM adc) WHERE rank <= 10
-"""
-
-# IVFADC+R (dataops.q_knn_ivfpq_rerank): the knn_ivfpq ADC ranking keeps a
-# 30-candidate shortlist per query, and the final stage re-ranks it by the
-# EXACT fixed-point squared L2 between the raw (floor(x*1e6)) vectors —
-# top 10 by (d2 ASC, neighbor_id ASC). Same CTEs as knn_ivfpq up to `adc`.
-ORACLE_SQL["knn_ivfpq_rerank"] = """
-WITH vals AS (
-  SELECT vec_id,
-         CAST(floor(unnest(CAST(embedding AS DOUBLE[])) * 1000000) AS BIGINT) AS x,
-         unnest(generate_series(1, len(embedding))) AS j
-  FROM embeddings
-),
-dots AS (
-  SELECT a.vec_id, b.vec_id AS l, sum(a.x * b.x) AS s
-  FROM vals a JOIN vals b ON a.j = b.j AND b.vec_id < 16
-  GROUP BY 1, 2
-),
-assign AS (
-  SELECT vec_id, l AS ivf_list FROM (
-    SELECT vec_id, l,
-           row_number() OVER (PARTITION BY vec_id ORDER BY s DESC, l) AS rn
-    FROM dots) WHERE rn = 1
-),
-qprobe AS (
-  SELECT vec_id AS qid, l AS pl FROM (
-    SELECT vec_id, l,
-           row_number() OVER (PARTITION BY vec_id ORDER BY s DESC, l) AS rn
-    FROM dots WHERE vec_id < 8) WHERE rn <= 4
-),
-sub AS (SELECT vec_id, x, j, CAST((j - 1) // 8 AS BIGINT) AS m FROM vals),
-cb AS (SELECT vec_id AS k, x AS c, j, m FROM sub WHERE vec_id < 16),
-dist AS (
-  SELECT a.vec_id, a.m, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM sub a JOIN cb b ON a.m = b.m AND a.j = b.j
-  GROUP BY 1, 2, 3
-),
-codes AS (
-  SELECT vec_id, m, k FROM (
-    SELECT vec_id, m, k,
-           row_number() OVER (PARTITION BY vec_id, m ORDER BY dd, k) AS rn
-    FROM dist) WHERE rn = 1
-),
-qd AS (
-  SELECT a.vec_id AS qid, a.m, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM sub a JOIN cb b ON a.m = b.m AND a.j = b.j
-  WHERE a.vec_id < 8
-  GROUP BY 1, 2, 3
-),
-cand AS (
-  SELECT DISTINCT p.qid, a.vec_id AS nid
-  FROM qprobe p JOIN assign a ON a.ivf_list = p.pl
-  WHERE a.vec_id <> p.qid
-),
-adc AS (
-  SELECT cd.qid AS query_id, c.vec_id AS neighbor_id,
-         CAST(sum(q.dd) AS BIGINT) AS adc
-  FROM cand cd
-  JOIN codes c ON c.vec_id = cd.nid
-  JOIN qd q ON q.qid = cd.qid AND q.m = c.m AND q.k = c.k
-  GROUP BY 1, 2
-),
-short AS (
-  SELECT query_id, neighbor_id FROM (
-    SELECT query_id, neighbor_id,
-           row_number() OVER (PARTITION BY query_id ORDER BY adc, neighbor_id) AS rn
-    FROM adc) WHERE rn <= 30
-),
-exact AS (
-  SELECT s.query_id, s.neighbor_id,
-         CAST(sum((qv.x - nv.x) * (qv.x - nv.x)) AS BIGINT) AS d2
-  FROM short s
-  JOIN vals qv ON qv.vec_id = s.query_id
-  JOIN vals nv ON nv.vec_id = s.neighbor_id AND nv.j = qv.j
-  GROUP BY 1, 2
-)
-SELECT query_id, neighbor_id, d2, CAST(rank AS BIGINT) AS rank FROM (
-  SELECT query_id, neighbor_id, d2,
-         row_number() OVER (PARTITION BY query_id ORDER BY d2, neighbor_id) AS rank
-  FROM exact) WHERE rank <= 10
-"""
-
-# One exact Lloyd iteration (dataops.q_kmeans_step): integer squared-L2
-# assignment to the vec_id < 16 sampled fixed-point centroids (smaller-
-# cluster ties), then per-(cluster, dim) member count, coordinate sum and
-# the refined coordinate floor(s/n). Empty clusters yield no rows.
-ORACLE_SQL["kmeans_step"] = """
-WITH vals AS (
-  SELECT vec_id,
-         CAST(floor(unnest(CAST(embedding AS DOUBLE[])) * 1000000) AS BIGINT) AS x,
-         unnest(generate_series(1, len(embedding))) AS j
-  FROM embeddings
-),
-cb AS (SELECT vec_id AS k, x AS c, j FROM vals WHERE vec_id < 16),
-d AS (
-  SELECT a.vec_id, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM vals a JOIN cb b ON a.j = b.j
-  GROUP BY 1, 2
-),
-assign AS (
-  SELECT vec_id, k FROM (
-    SELECT vec_id, k,
-           row_number() OVER (PARTITION BY vec_id ORDER BY dd, k) AS rn
-    FROM d) WHERE rn = 1
-),
-agg AS (
-  SELECT s.k AS cluster_id, CAST(v.j - 1 AS BIGINT) AS dim,
-         CAST(count(*) AS BIGINT) AS n, CAST(sum(v.x) AS BIGINT) AS s
-  FROM assign s JOIN vals v ON v.vec_id = s.vec_id
-  GROUP BY 1, 2
-)
-SELECT cluster_id, dim, n, s,
-       CAST(floor(CAST(s AS DOUBLE) / n) AS BIGINT) AS c_new
-FROM agg ORDER BY cluster_id, dim
-"""
-
-# Full N-iteration distributed Lloyd trainer (dataops.q_kmeans_train):
-# iteration i assigns every vector to its nearest c_i centroid (integer
-# squared L2, smaller-cluster ties) and refines coordinates to
-# floor(sum/count); empty clusters keep their previous coordinates
-# (LEFT JOIN + COALESCE). Output = final centroid table + the last
-# iteration's membership counts.
-KMEANS_TRAIN_ITERS = 4
-
-
-def _kmeans_chain_parts(n_iters: int) -> list:
-    """The shared N-iteration Lloyd CTE chain (vals, c0..cN, assign0..)
-    used by both the trainer oracle and the trained-IVF search oracle."""
-    parts = ["""WITH vals AS MATERIALIZED (
-  SELECT vec_id,
-         CAST(floor(unnest(CAST(embedding AS DOUBLE[])) * 1000000) AS BIGINT) AS x,
-         unnest(generate_series(1, len(embedding))) AS j
-  FROM embeddings
-), c0 AS MATERIALIZED (
-  SELECT vec_id AS k, j, x AS c FROM vals WHERE vec_id < 16
-)"""]
-    for i in range(n_iters):
-        parts.append(f""", d{i} AS (
-  SELECT a.vec_id, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM vals a JOIN c{i} b ON a.j = b.j
-  GROUP BY 1, 2
-), assign{i} AS MATERIALIZED (
-  SELECT vec_id, k FROM (
-    SELECT vec_id, k,
-           row_number() OVER (PARTITION BY vec_id ORDER BY dd, k) AS rn
-    FROM d{i}) WHERE rn = 1
-), c{i + 1} AS MATERIALIZED (
-  SELECT p.k, p.j, COALESCE(r.c_new, p.c) AS c
-  FROM c{i} p LEFT JOIN (
-    SELECT s.k, v.j,
-           CAST(floor(CAST(sum(v.x) AS DOUBLE) / count(*)) AS BIGINT) AS c_new
-    FROM assign{i} s JOIN vals v ON v.vec_id = s.vec_id
-    GROUP BY 1, 2
-  ) r ON r.k = p.k AND r.j = p.j
-)""")
-    return parts
-
-
-def _kmeans_train_oracle_sql(n_iters: int = KMEANS_TRAIN_ITERS) -> str:
-    """Generate the N-stage DuckDB twin of the distributed Lloyd loop."""
-    parts = _kmeans_chain_parts(n_iters)
-    parts.append(f"""
-SELECT c.k AS cluster_id, CAST(c.j - 1 AS BIGINT) AS dim,
-       COALESCE(m.n, 0) AS n, c.c AS c
-FROM c{n_iters} c LEFT JOIN (
-  SELECT k, CAST(count(*) AS BIGINT) AS n
-  FROM assign{n_iters - 1} GROUP BY k
-) m ON m.k = c.k
-ORDER BY cluster_id, dim
-""")
-    return "".join(parts)
-
-
-ORACLE_SQL["kmeans_train"] = _kmeans_train_oracle_sql()
-
-
-def _knn_ivf_trained_oracle_sql(n_iters: int = KMEANS_TRAIN_ITERS) -> str:
-    """Trained-quantizer IVF search (dataops.q_knn_ivf_trained): the full
-    Lloyd chain produces c_N; every vector is assigned to its nearest
-    trained centroid by integer squared L2 (smaller-cluster ties),
-    queries probe their 4 L2-nearest lists, and candidates in probed
-    lists are ranked by the EXACT integer squared L2 — top 10 per query,
-    self excluded, (d2 ASC, neighbor_id ASC) ties."""
-    parts = _kmeans_chain_parts(n_iters)
-    parts.append(f""", cent AS (SELECT k, j, c FROM c{n_iters}),
-ad AS (
-  SELECT a.vec_id, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM vals a JOIN cent b ON a.j = b.j
-  GROUP BY 1, 2
-),
-fassign AS (
-  SELECT vec_id, k FROM (
-    SELECT vec_id, k,
-           row_number() OVER (PARTITION BY vec_id ORDER BY dd, k) AS rn
-    FROM ad) WHERE rn = 1
-),
-qprobe AS (
-  SELECT vec_id AS qid, k AS pl FROM (
-    SELECT vec_id, k,
-           row_number() OVER (PARTITION BY vec_id ORDER BY dd, k) AS rn
-    FROM ad WHERE vec_id < 8) WHERE rn <= 4
-),
-cand AS (
-  SELECT DISTINCT p.qid, a.vec_id AS nid
-  FROM qprobe p JOIN fassign a ON a.k = p.pl
-  WHERE a.vec_id <> p.qid
-),
-exact AS (
-  SELECT cd.qid AS query_id, cd.nid AS neighbor_id,
-         CAST(sum((qv.x - nv.x) * (qv.x - nv.x)) AS BIGINT) AS d2
-  FROM cand cd
-  JOIN vals qv ON qv.vec_id = cd.qid
-  JOIN vals nv ON nv.vec_id = cd.nid AND nv.j = qv.j
-  GROUP BY 1, 2
-)
-SELECT query_id, neighbor_id, d2, CAST(rank AS BIGINT) AS rank FROM (
-  SELECT query_id, neighbor_id, d2,
-         row_number() OVER (PARTITION BY query_id ORDER BY d2, neighbor_id) AS rank
-  FROM exact) WHERE rank <= 10
-""")
-    return "".join(parts)
-
-
-ORACLE_SQL["knn_ivf_trained"] = _knn_ivf_trained_oracle_sql()
-
-
-def _knn_ivfpq_trained_oracle_sql(n_iters: int = KMEANS_TRAIN_ITERS) -> str:
-    """The full trained production stack (dataops.q_knn_ivfpq_trained):
-    the Lloyd chain's c_N routes every vector by integer L2 (smaller
-    ties), queries probe their 4 L2-nearest trained lists, and candidates
-    are scored by the PQ-ADC sums over the sampled codebook's codes —
-    train → route → compress → probe → ADC in one replayed chain."""
-    parts = _kmeans_chain_parts(n_iters)
-    parts.append(f""", cent AS (SELECT k, j, c FROM c{n_iters}),
-ad AS (
-  SELECT a.vec_id, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM vals a JOIN cent b ON a.j = b.j
-  GROUP BY 1, 2
-),
-fassign AS (
-  SELECT vec_id, k FROM (
-    SELECT vec_id, k,
-           row_number() OVER (PARTITION BY vec_id ORDER BY dd, k) AS rn
-    FROM ad) WHERE rn = 1
-),
-qprobe AS (
-  SELECT vec_id AS qid, k AS pl FROM (
-    SELECT vec_id, k,
-           row_number() OVER (PARTITION BY vec_id ORDER BY dd, k) AS rn
-    FROM ad WHERE vec_id < 8) WHERE rn <= 4
-),
-sub AS (SELECT vec_id, x, j, CAST((j - 1) // 8 AS BIGINT) AS m FROM vals),
-cb AS (SELECT vec_id AS k, x AS c, j, m FROM sub WHERE vec_id < 16),
-pqd AS (
-  SELECT a.vec_id, a.m, b.k, sum((a.x - b.c) * (a.x - b.c)) AS dd
-  FROM sub a JOIN cb b ON a.m = b.m AND a.j = b.j
-  GROUP BY 1, 2, 3
-),
-codes AS (
-  SELECT vec_id, m, k FROM (
-    SELECT vec_id, m, k,
-           row_number() OVER (PARTITION BY vec_id, m ORDER BY dd, k) AS rn
-    FROM pqd) WHERE rn = 1
-),
-qd AS (
-  SELECT vec_id AS qid, m, k, dd FROM pqd WHERE vec_id < 8
-),
-cand AS (
-  SELECT DISTINCT p.qid, a.vec_id AS nid
-  FROM qprobe p JOIN fassign a ON a.k = p.pl
-  WHERE a.vec_id <> p.qid
-),
-adc AS (
-  SELECT cd.qid AS query_id, c.vec_id AS neighbor_id,
-         CAST(sum(q.dd) AS BIGINT) AS adc
-  FROM cand cd
-  JOIN codes c ON c.vec_id = cd.nid
-  JOIN qd q ON q.qid = cd.qid AND q.m = c.m AND q.k = c.k
-  GROUP BY 1, 2
-)
-SELECT query_id, neighbor_id, adc, CAST(rank AS BIGINT) AS rank FROM (
-  SELECT query_id, neighbor_id, adc,
-         row_number() OVER (PARTITION BY query_id ORDER BY adc, neighbor_id) AS rank
-  FROM adc) WHERE rank <= 10
-""")
-    return "".join(parts)
-
-
-ORACLE_SQL["knn_ivfpq_trained"] = _knn_ivfpq_trained_oracle_sql()
-
 # Nucleus vocabulary coverage: smallest number of token TYPES reaching
 # >= pct% of total token mass under (count desc, token asc) order; the
 # threshold compares 100*cumsum >= pct*total in integers.
@@ -2586,6 +1877,7 @@ SELECT t.total AS total_tokens, t.vs AS vocab_size,
 FROM o, t GROUP BY t.total, t.vs
 """
 
+# corpus-wide top-k tokens, deterministic (count desc, token asc) tie-break
 ORACLE_SQL["top_tokens"] = """
 WITH tok AS (
   SELECT unnest(string_split_regex(trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)),

@@ -120,16 +120,6 @@ def derive_transcripts(sf_dir: str, parallelism: int = -1) -> rd.Dataset:
     )
 
 
-def transcripts_dataset(sf_dir: str) -> rd.Dataset:
-    """The transcripts feed for a testdata dir (derived from events)."""
-    return derive_transcripts(sf_dir)
-
-
-def read_transcript_feed(feed_dir: str, columns: list[str] | None = None) -> rd.Dataset:
-    """Read an on-disk transcripts feed (parquet dir/file)."""
-    return rd.read_parquet(feed_dir, columns=columns)
-
-
 def generate_transcripts(
     n_convs: int = 100,
     mean_turns: int = 10,

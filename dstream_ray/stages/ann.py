@@ -6,8 +6,6 @@
   With LSH or IVF lists each query only scans the lists it probes — the
   scale path for 10^10-vector corpora. Recall vs brute force is
   pytest-checked.
-- Product quantization: :func:`pq_encode`, :func:`adc_tables` and
-  :func:`adc_scores`, exact on the family's fixed-point integers.
 """
 
 from __future__ import annotations
@@ -116,46 +114,6 @@ def knn_search(ds, query_ids, score, *, k: int, score_col: str | None = None,
     partials = (ds.map_batches(search, batch_format="pyarrow", batch_size=4096)
                 .to_pandas())
     return merge_topk(partials, k, score=col, keep_score=score_col is not None)
-
-
-def sq_l2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(len(A), len(B)) squared L2 distances. On the family's fixed-point
-    vectors (``floor(x * 1e6)``) every term is an integer below 2^53, so the
-    float64 result is exact and equals DuckDB's BIGINT arithmetic."""
-    return ((A * A).sum(axis=1)[:, None] - 2.0 * (A @ B.T)
-            + (B * B).sum(axis=1)[None, :])
-
-
-def _subspaces(codebook: np.ndarray, n_sub: int):
-    d = codebook.shape[1] // n_sub
-    return [slice(m * d, (m + 1) * d) for m in range(n_sub)]
-
-
-def pq_encode(X: np.ndarray, codebook: np.ndarray, n_sub: int):
-    """Product-quantization codes of the rows of ``X``: per sub-space, the
-    nearest codeword of that slice of ``codebook`` (first minimum, so the
-    smaller codeword id wins ties). Returns the (n, n_sub) int64 codes and
-    each row's summed squared quantization error."""
-    codes = np.empty((len(X), n_sub), dtype=np.int64)
-    err = np.zeros(len(X), dtype=np.int64)
-    for m, sl in enumerate(_subspaces(codebook, n_sub)):
-        dd = sq_l2(X[:, sl], codebook[:, sl])
-        codes[:, m] = np.argmin(dd, axis=1)
-        err += dd[np.arange(len(X)), codes[:, m]].astype(np.int64)
-    return codes, err
-
-
-def adc_tables(Q: np.ndarray, codebook: np.ndarray, n_sub: int) -> np.ndarray:
-    """Per-query ADC lookup tables (n_queries, n_sub, n_codewords): squared
-    L2 from each query sub-vector to every codeword of its sub-space."""
-    return np.stack([sq_l2(Q[:, sl], codebook[:, sl])
-                     for sl in _subspaces(codebook, n_sub)], axis=1)
-
-
-def adc_scores(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """(n_queries, n_rows) ADC distances: per query, the sum over sub-spaces
-    of the table entries the rows' codes select."""
-    return tables[:, np.arange(codes.shape[1]), codes].sum(axis=-1)
 
 
 class HyperplaneLSH:

@@ -257,15 +257,6 @@ class MinHasher:
         )
 
 
-def candidate_pairs_from_band_group(group: pd.DataFrame) -> pd.DataFrame:
-    """All doc pairs sharing one (band_id, band_hash) bucket."""
-    ids = np.sort(group["doc_id"].unique())
-    if len(ids) < 2:
-        return pd.DataFrame({"doc_a": [], "doc_b": []})
-    ia, ib = np.triu_indices(len(ids), k=1)
-    return pd.DataFrame({"doc_a": ids[ia], "doc_b": ids[ib]})
-
-
 def candidate_pairs_from_band_partition(df: pd.DataFrame) -> pd.DataFrame:
     """Vectorized candidate-pair extraction for a PARTITION of band rows
     (many buckets at once): sort, find same-(band_id, band_hash) runs,
@@ -445,7 +436,7 @@ def ngram_jaccard_pairs_group(group: pd.DataFrame, *, tau_x1000: int = 200) -> p
 
 def pair_jaccard_counts_batch(texts_a, texts_b, w: int = 3):
     """(intersection, union) set-counts for N (text_a, text_b) shingle-set
-    pairs — the exact-integer form of :func:`pair_jaccard_batch`, so a
+    pairs — the exact-integer form of their Jaccard, so a
     threshold like j >= 4/5 can be evaluated as ``5*inter >= 4*union``
     identically in numpy and SQL (no float division at the boundary)."""
     n = len(texts_a)
@@ -467,16 +458,6 @@ def pair_jaccard_counts_batch(texts_a, texts_b, w: int = 3):
     inter = np.bincount(pid_s[dup], minlength=n).astype(np.int64)
     union = (ca + cb - inter).astype(np.int64)
     return inter, union
-
-
-def pair_jaccard_batch(texts_a, texts_b, w: int = 3) -> np.ndarray:
-    """Exact shingle-Jaccard for N (text_a, text_b) pairs, vectorized —
-    the float view over :func:`pair_jaccard_counts_batch` (both-empty pairs
-    have union 0 and score 1.0, matching the scalar :func:`jaccard`)."""
-    inter, union = pair_jaccard_counts_batch(texts_a, texts_b, w)
-    out = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-    out[union == 0] = 1.0
-    return out
 
 
 def connected_components_min_label(edges: pd.DataFrame, ids: np.ndarray) -> pd.DataFrame:

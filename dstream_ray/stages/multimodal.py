@@ -1,94 +1,18 @@
 """Multimodal column plumbing: opaque ``binary`` payloads + typed metadata.
 
-The image/audio codec libraries are not available in this container, so
-DECODE has three modes (clearly marked):
-
-- ``decode=\"auto\"``: raw-RGB payloads (``encode_rgb_raw`` container
-  format, magic ``RGB0``) decode FOR REAL — a genuine byte-level decoder
-  with validation, no codec library needed; other payloads fall back to
-  the fake plumbing below;
-- ``decode=\"strict\"`` raises ``NotImplementedError`` for codec formats —
-  the shape a real deployment fills in with PIL/ffmpeg;
-- ``decode=\"fake\"`` derives a deterministic pixel array from the payload
-  bytes, so the Ray-side plumbing — schema, actor pool, batch sizing,
-  output layout — is real and tested end-to-end even for codec formats.
+The engine depends on no image codec library, so the payload format is
+``RGB0`` (:func:`encode_rgb_raw`): an uncompressed raw-RGB container with a
+genuine byte-level decoder (:func:`decode_rgb_raw`). :func:`raw_int_features` reduces decoded pixels to
+integer-exact features a SQL oracle recomputes.
 
 Scale notes baked into the stage shapes: binary rows are large, so batches
-stay SMALL (``batch_size=32``-ish) and the featurizer is an ACTOR POOL
-(model weights loaded once per actor in ``__init__``); outputs carry fixed
-``list<float>`` embeddings suitable for the ann stages.
+stay SMALL (``batch_size=16``-ish).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-MEDIA_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.int64()),
-        ("kind", pa.string()),  # image | audio | video
-        ("payload", pa.binary()),
-        ("width", pa.int32()),
-        ("height", pa.int32()),
-        ("sample_rate", pa.int32()),
-        ("n_frames", pa.int32()),
-    ]
-)
-
-
-def generate_media_table(
-    n: int = 64, seed: int = 5, raw_frac: float = 0.0, png_frac: float = 0.0
-) -> pa.Table:
-    """Seeded synthetic media rows (binary payloads + metadata).
-
-    ``raw_frac`` > 0 turns that fraction of rows into ``image_raw`` rows
-    whose payloads are REAL :func:`encode_rgb_raw` images (seeded gradient
-    + noise); ``png_frac`` > 0 turns the NEXT fraction into ``image_png``
-    rows really encoded by :func:`encode_png` with mixed scanline filters
-    — the featurizer's ``decode="auto"`` path genuinely decodes both back
-    to pixels."""
-    rng = np.random.default_rng(seed)
-    kinds = np.array(["image", "audio", "video"], dtype=object)[
-        rng.integers(0, 3, n)
-    ]
-    payloads = [rng.bytes(int(rng.integers(256, 4096))) for _ in range(n)]
-    w = rng.integers(16, 256, n).astype(np.int32)
-    h = rng.integers(16, 256, n).astype(np.int32)
-    n_raw, n_png = int(n * raw_frac), int(n * png_frac)
-    for i in range(n_raw + n_png):
-        wi, hi = int(rng.integers(8, 48)), int(rng.integers(8, 48))
-        yy, xx = np.mgrid[0:hi, 0:wi]
-        img = np.stack(
-            [
-                (xx * 255 // max(1, wi - 1)),
-                (yy * 255 // max(1, hi - 1)),
-                rng.integers(0, 256, (hi, wi)),
-            ],
-            axis=2,
-        ).astype(np.uint8)
-        if i < n_raw:
-            kinds[i] = "image_raw"
-            payloads[i] = encode_rgb_raw(img)
-        else:
-            kinds[i] = "image_png"
-            payloads[i] = encode_png(img, filter_type="mixed")
-        w[i], h[i] = wi, hi
-    return pa.table(
-        {
-            "media_id": pa.array(np.arange(n, dtype=np.int64)),
-            "kind": pa.array(kinds, type=pa.string()),
-            "payload": pa.array(payloads, type=pa.binary()),
-            "width": pa.array(w),
-            "height": pa.array(h),
-            "sample_rate": pa.array(
-                np.where(kinds == "audio", 16000, 0).astype(np.int32)
-            ),
-            "n_frames": pa.array(
-                np.where(kinds == "video", rng.integers(8, 64, n), 1).astype(np.int32)
-            ),
-        }
-    )
 
 
 def generate_media_table_grid(n: int = 64) -> pa.Table:
@@ -185,302 +109,3 @@ def decode_rgb_raw(payload: bytes) -> np.ndarray:
             f"{int(w)*int(h)*3}, payload body is {len(body)}"
         )
     return np.frombuffer(body, dtype=np.uint8).reshape(int(h), int(w), 3)
-
-
-PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
-
-
-def _png_chunk(ctype: bytes, data: bytes) -> bytes:
-    import zlib
-
-    return (
-        len(data).to_bytes(4, "big")
-        + ctype
-        + data
-        + (zlib.crc32(ctype + data) & 0xFFFFFFFF).to_bytes(4, "big")
-    )
-
-
-def encode_png(arr: np.ndarray, filter_type: int | str = "mixed") -> bytes:
-    """REAL (non-stub) minimal PNG encoder — stdlib ``zlib`` only: 8-bit
-    RGB (color type 2), no interlace. ``filter_type`` applies one of the
-    five PNG scanline filters (0 None, 1 Sub, 2 Up, 3 Average, 4 Paeth)
-    to every scanline, or ``"mixed"`` cycles ``y % 5`` so round-trip
-    tests exercise every filter the decoder must invert."""
-    import zlib
-
-    if arr.dtype != np.uint8 or arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError("encode_png expects (h, w, 3) uint8")
-    h, w = arr.shape[:2]
-    px = arr.astype(np.int64)
-    raw = px.reshape(h, w * 3)
-    out = bytearray()
-    for y in range(h):
-        f = (y % 5) if filter_type == "mixed" else int(filter_type)
-        line = raw[y]
-        prev = raw[y - 1] if y else np.zeros_like(line)
-        left = np.concatenate([np.zeros(3, dtype=np.int64), line[:-3]])
-        ul = np.concatenate([np.zeros(3, dtype=np.int64), prev[:-3]])
-        if f == 0:
-            filt = line
-        elif f == 1:
-            filt = line - left
-        elif f == 2:
-            filt = line - prev
-        elif f == 3:
-            filt = line - (left + prev) // 2
-        elif f == 4:
-            p = left + prev - ul
-            pa_, pb_, pc_ = np.abs(p - left), np.abs(p - prev), np.abs(p - ul)
-            pred = np.where(
-                (pa_ <= pb_) & (pa_ <= pc_), left, np.where(pb_ <= pc_, prev, ul)
-            )
-            filt = line - pred
-        else:
-            raise ValueError(f"unknown PNG filter {f}")
-        out.append(f)
-        out.extend((filt % 256).astype(np.uint8).tobytes())
-    ihdr = (
-        int(w).to_bytes(4, "big")
-        + int(h).to_bytes(4, "big")
-        + bytes([8, 2, 0, 0, 0])  # bit depth 8, color type 2 (RGB)
-    )
-    return (
-        PNG_MAGIC
-        + _png_chunk(b"IHDR", ihdr)
-        + _png_chunk(b"IDAT", zlib.compress(bytes(out)))
-        + _png_chunk(b"IEND", b"")
-    )
-
-
-def decode_png(payload: bytes) -> np.ndarray:
-    """REAL minimal PNG decoder — stdlib ``zlib`` only: chunk walk with
-    CRC validation, IDAT concatenation + inflate, and full scanline
-    un-filtering (all five filter types). Supports the same subset the
-    encoder writes (8-bit RGB, no interlace); anything else — palettes,
-    alpha, 16-bit, Adam7 — raises ``NotImplementedError`` honestly (the
-    shape a real deployment fills in with PIL)."""
-    import zlib
-
-    if payload[:8] != PNG_MAGIC:
-        raise ValueError("not a PNG payload")
-    pos, w, h, idat = 8, None, None, bytearray()
-    while pos < len(payload):
-        ln = int.from_bytes(payload[pos:pos + 4], "big")
-        ctype = payload[pos + 4:pos + 8]
-        data = payload[pos + 8:pos + 8 + ln]
-        crc = int.from_bytes(payload[pos + 8 + ln:pos + 12 + ln], "big")
-        if (zlib.crc32(ctype + data) & 0xFFFFFFFF) != crc:
-            raise ValueError(f"PNG chunk {ctype!r} CRC mismatch")
-        if ctype == b"IHDR":
-            w = int.from_bytes(data[0:4], "big")
-            h = int.from_bytes(data[4:8], "big")
-            depth, color, comp, filt, interlace = data[8:13]
-            if (depth, color) != (8, 2):
-                raise NotImplementedError(
-                    f"minimal PNG decoder handles 8-bit RGB only, got "
-                    f"depth={depth} color_type={color}"
-                )
-            if comp or filt or interlace:
-                raise NotImplementedError("compression/filter/interlace != 0")
-        elif ctype == b"IDAT":
-            idat.extend(data)
-        elif ctype == b"IEND":
-            break
-        pos += 12 + ln
-    if w is None or not idat:
-        raise ValueError("PNG missing IHDR or IDAT")
-    raw = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
-    stride = w * 3
-    if len(raw) != h * (stride + 1):
-        raise ValueError("PNG scanline length mismatch")
-    raw = raw.reshape(h, stride + 1)
-    out = np.zeros((h, stride), dtype=np.int64)
-    for y in range(h):
-        f, line = int(raw[y, 0]), raw[y, 1:].astype(np.int64)
-        prev = out[y - 1] if y else np.zeros(stride, dtype=np.int64)
-        if f == 0:
-            out[y] = line
-        elif f == 1:  # Sub: per-channel wrap-around prefix sum
-            out[y] = np.cumsum(line.reshape(-1, 3), axis=0).reshape(-1) % 256
-        elif f == 2:
-            out[y] = (line + prev) % 256
-        elif f in (3, 4):  # Average/Paeth need the reconstructed left pixel
-            rec = out[y]
-            for x in range(stride):
-                a = rec[x - 3] if x >= 3 else 0
-                b = prev[x]
-                if f == 3:
-                    rec[x] = (line[x] + (a + b) // 2) % 256
-                else:
-                    c = prev[x - 3] if x >= 3 else 0
-                    p = a + b - c
-                    pa_, pb_, pc_ = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if (pa_ <= pb_ and pa_ <= pc_) else (b if pb_ <= pc_ else c)
-                    rec[x] = (line[x] + pred) % 256
-        else:
-            raise ValueError(f"unknown PNG filter {f}")
-    return out.astype(np.uint8).reshape(h, w, 3)
-
-
-def _fake_decode(payload: bytes, width: int, height: int) -> np.ndarray:
-    """STUB: deterministic 'pixels' from bytes (replaces PIL.Image.open)."""
-    b = np.frombuffer(payload, dtype=np.uint8)
-    need = max(1, (width // 8) * (height // 8))
-    reps = -(-need // len(b))
-    return np.tile(b, reps)[:need].astype(np.float32)
-
-
-class MediaFeaturizer:
-    """Actor-pool stage: decode → feature-extract → fixed-dim embedding.
-
-    ``__init__`` loads the 'model' (a seeded projection matrix — stand-in
-    for real weights) ONCE per actor. ``__call__`` handles a small batch of
-    binary rows and emits ``(media_id, kind, embedding list<float>,
-    feat_mean, feat_std)``.
-    """
-
-    def __init__(self, dim: int = 32, decode: str = "fake", seed: int = 11):
-        if decode not in ("fake", "strict", "auto"):
-            raise ValueError(decode)
-        self.decode = decode
-        rng = np.random.default_rng(seed)
-        # 'model weights': fixed random projection, loaded once per actor
-        self.proj = rng.standard_normal((256, dim)).astype(np.float32)
-        self.dim = dim
-
-    def _decode(self, payload: bytes, width: int, height: int) -> np.ndarray:
-        if self.decode == "auto" and (
-            payload[:4] == RGB_MAGIC or payload[:8] == PNG_MAGIC
-        ):
-            # REAL decode: raw-RGB and (minimal, zlib-only) PNG payloads
-            # carry actual pixels (luminance plane feeds the shared
-            # histogram+projection featurizer)
-            dec = decode_rgb_raw if payload[:4] == RGB_MAGIC else decode_png
-            px = dec(payload).astype(np.float32)
-            lum = px[:, :, 0] * 0.299 + px[:, :, 1] * 0.587 + px[:, :, 2] * 0.114
-            return lum.ravel()
-        if self.decode == "strict":
-            raise NotImplementedError(
-                "real image/audio codec decoding beyond raw-RGB/8-bit-RGB-PNG "
-                "requires PIL/ffmpeg — not in this container; those two "
-                "formats decode for real via decode='auto', everything else "
-                "uses decode='fake' plumbing"
-            )
-        return _fake_decode(payload, width, height)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        widths = batch["width"].to_numpy(zero_copy_only=False)
-        heights = batch["height"].to_numpy(zero_copy_only=False)
-        embs = np.empty((len(payloads), self.dim), dtype=np.float32)
-        means = np.empty(len(payloads), dtype=np.float64)
-        stds = np.empty(len(payloads), dtype=np.float64)
-        for i, p in enumerate(payloads):
-            px = self._decode(p, int(widths[i]), int(heights[i]))
-            means[i] = float(px.mean())
-            stds[i] = float(px.std())
-            hist = np.bincount(px.astype(np.int64) % 256, minlength=256).astype(
-                np.float32
-            )
-            embs[i] = hist @ self.proj
-        return pa.table(
-            {
-                "media_id": batch["media_id"],
-                "kind": batch["kind"],
-                "embedding": pa.array(list(embs), type=pa.list_(pa.float32())),
-                "feat_mean": pa.array(means),
-                "feat_std": pa.array(stds),
-            }
-        )
-
-
-def resize_stub(batch: pa.Table, *, target: int = 64) -> pa.Table:
-    """STUB resize stage: real implementation would decode + resample; here
-    the payload passes through and only metadata is rewritten (the Ray-side
-    contract — schema in/out — is what this exercises)."""
-    n = batch.num_rows
-    return (
-        batch.set_column(
-            batch.schema.get_field_index("width"),
-            "width",
-            pa.array(np.full(n, target, dtype=np.int32)),
-        ).set_column(
-            batch.schema.get_field_index("height"),
-            "height",
-            pa.array(np.full(n, target, dtype=np.int32)),
-        )
-    )
-
-
-def frame_sample(batch: pa.Table, *, every: int = 8) -> pa.Table:
-    """Frame-sampling stage for video rows: expand each video into one row
-    per sampled frame (every ``every``-th frame), non-video rows pass through
-    with frame_idx 0. The DECODE of actual frame bytes is the stubbed step
-    (a real deployment slices the container with ffmpeg); the expansion
-    plumbing — flat-map shape, per-frame metadata, deterministic payload
-    slices — is real.
-    """
-    kinds = np.asarray(batch["kind"].to_pylist(), dtype=object)
-    n_frames = batch["n_frames"].to_numpy(zero_copy_only=False)
-    ids = batch["media_id"].to_numpy(zero_copy_only=False)
-    payloads = batch["payload"].to_pylist()
-    out_id, out_frame, out_payload, out_kind = [], [], [], []
-    for i in range(len(ids)):
-        if kinds[i] == "video" and n_frames[i] > 1:
-            frames = range(0, int(n_frames[i]), every)
-        else:
-            frames = [0]
-        p = payloads[i]
-        for f in frames:
-            out_id.append(int(ids[i]))
-            out_frame.append(int(f))
-            # STUB decode: deterministic byte slice per frame index
-            start = (f * 97) % max(1, len(p) - 16) if len(p) > 16 else 0
-            out_payload.append(p[start : start + 16])
-            out_kind.append(str(kinds[i]))
-    return pa.table(
-        {
-            "media_id": pa.array(out_id, type=pa.int64()),
-            "frame_idx": pa.array(out_frame, type=pa.int32()),
-            "kind": pa.array(out_kind, type=pa.string()),
-            "frame_payload": pa.array(out_payload, type=pa.binary()),
-        }
-    )
-
-
-def audio_chunk(batch: pa.Table, *, chunk_ms: int = 500) -> pa.Table:
-    """Fixed-duration chunking for audio rows: expand each audio payload
-    into one row per ``chunk_ms`` window (duration inferred from payload
-    length at 1 byte/sample against ``sample_rate``); non-audio rows pass
-    through as one chunk. As with :func:`frame_sample`, the codec decode is
-    the stubbed step — chunk boundaries, per-chunk metadata and
-    deterministic payload slices (the Ray-side plumbing) are real.
-    """
-    kinds = np.asarray(batch["kind"].to_pylist(), dtype=object)
-    rates = batch["sample_rate"].to_numpy(zero_copy_only=False)
-    ids = batch["media_id"].to_numpy(zero_copy_only=False)
-    payloads = batch["payload"].to_pylist()
-    out_id, out_chunk, out_ms, out_payload = [], [], [], []
-    for i in range(len(ids)):
-        p = payloads[i]
-        if kinds[i] == "audio" and rates[i] > 0:
-            bytes_per_chunk = max(1, int(rates[i]) * chunk_ms // 1000)
-            n_chunks = max(1, -(-len(p) // bytes_per_chunk))
-        else:
-            bytes_per_chunk = len(p) or 1
-            n_chunks = 1
-        for c in range(n_chunks):
-            seg = p[c * bytes_per_chunk : (c + 1) * bytes_per_chunk]
-            out_id.append(int(ids[i]))
-            out_chunk.append(c)
-            out_ms.append(c * chunk_ms if kinds[i] == "audio" and rates[i] > 0 else 0)
-            out_payload.append(seg[:64])  # bound row size; stub decode
-    return pa.table(
-        {
-            "media_id": pa.array(out_id, type=pa.int64()),
-            "chunk_idx": pa.array(out_chunk, type=pa.int32()),
-            "start_ms": pa.array(out_ms, type=pa.int64()),
-            "chunk_payload": pa.array(out_payload, type=pa.binary()),
-        }
-    )

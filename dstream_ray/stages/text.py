@@ -13,7 +13,6 @@ both sides agree exactly.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from dstream_ray.common import poly_hash_spans, poly_hash_strings, utf8_view
@@ -29,10 +28,6 @@ LANG_MARKERS = {
 
 # The exact whitespace class the DuckDB oracles split on (Python re's ASCII
 # \s — note \x0b, which RE2's \s does NOT include, so patterns spell it out).
-WS_CLASS = r"[ \t\n\x0b\x0c\r]"
-NONWS_RUN = r"[^ \t\n\x0b\x0c\r]+"
-
-
 _WS_BYTES = np.frombuffer(b" \t\n\x0b\x0c\r", dtype=np.uint8)
 _NONWS_LUT = np.ones(256, dtype=bool)
 _NONWS_LUT[_WS_BYTES] = False
@@ -155,59 +150,6 @@ class LangIdMarkers:
         pred[(es > de) & (es > fr) & (es > 0)] = "es"
         return pa.table(
             {"doc_id": batch["doc_id"], "pred_lang": pa.array(pred, type=pa.string())}
-        )
-
-
-class LangIdNgram:
-    """Real language-ID heuristic: cosine over character-trigram frequency
-    profiles built per actor from small seeded exemplar corpora. Not
-    SQL-expressible — validated by pytest on synthetic multilingual text."""
-
-    EXEMPLARS = {
-        "en": "the quick brown fox jumps over the lazy dog and then it runs to "
-        "the house of the friend who was waiting with a cup of tea",
-        "de": "der schnelle braune fuchs springt über den faulen hund und läuft "
-        "dann zum haus des freundes der mit einer tasse tee wartete",
-        "fr": "le rapide renard brun saute par dessus le chien paresseux et "
-        "court ensuite vers la maison de l ami qui attendait avec une tasse de thé",
-        "es": "el rápido zorro marrón salta sobre el perro perezoso y luego "
-        "corre hacia la casa del amigo que esperaba con una taza de té",
-    }
-
-    def __init__(self):
-        self.profiles = {
-            lang: self._profile(txt) for lang, txt in self.EXEMPLARS.items()
-        }
-
-    @staticmethod
-    def _trigrams(s: str) -> list[str]:
-        s = f"  {s.lower()}  "
-        return [s[i : i + 3] for i in range(len(s) - 2)]
-
-    def _profile(self, s: str) -> dict[str, float]:
-        from collections import Counter
-
-        c = Counter(self._trigrams(s))
-        norm = sum(v * v for v in c.values()) ** 0.5
-        return {k: v / norm for k, v in c.items()}
-
-    def classify(self, s: str) -> str:
-        from collections import Counter
-
-        c = Counter(self._trigrams(s))
-        best, best_score = "en", -1.0
-        for lang, prof in self.profiles.items():
-            score = sum(prof.get(k, 0.0) * v for k, v in c.items())
-            if score > best_score:
-                best, best_score = lang, score
-        return best
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "pred_lang": [self.classify(t) for t in batch["text"].astype(str)],
-            }
         )
 
 

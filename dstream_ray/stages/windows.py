@@ -41,19 +41,6 @@ from dstream_ray.stages.sketches import HLL
 US = 1_000_000
 _I64MIN = np.iinfo(np.int64).min
 
-# Residual row layout carried in state (text replaced by its length: window
-# aggregates never need the bytes, keeping state small).
-RESIDUAL_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("turn_idx", pa.int32()),
-        ("role", pa.string()),
-        ("tool", pa.string()),
-        ("ts_us", pa.int64()),
-        ("n_chars", pa.int64()),
-    ]
-)
-
 
 def to_residual_rows(batch: pa.Table) -> pa.Table:
     """Project a transcripts batch to the residual/kernel row layout."""

@@ -44,23 +44,17 @@ ADVERSARIAL_QUERIES = [
     "top_tokens",
     "cms_tokens",  # library-only (count-min cells, HUGEINT double hashing)
     "tfidf_top_terms",  # library-only (integer-exact tf*N//df scores)
-    "pii_scrub",  # library-only (RE2 mask, byte-exact scrubbed text)
-    "repetition_stats",  # library-only (Gopher repetition rules)
-    "decontamination",  # library-only (broadcast shingle-set membership)
-    "curation_v2",  # library-only (decontamination composed into curation)
-    "mixture_sample",  # library-only (token-budget language mixing)
+    "pii_scrub",  # RE2 mask, byte-exact scrubbed text
+    "repetition_stats",  # Gopher repetition rules
+    "decontamination",  # broadcast shingle-set membership
+    "curation_v2",  # decontamination composed into curation
+    "mixture_sample",  # token-budget language mixing
     "substring_dedup",  # cross-doc duplicated-span fractions
     "quality_classify",  # hashed linear quality model
     "domain_filter",  # library-only (source-mean-length survival rule)
     "stratified_split",  # FNV-bucket train/val/test split
     "line_dedup",  # library-only (keep-first non-overlapping chunk dedup)
     "inverted_index",  # library-only (postings build: df/tf/extrema/set check)
-    "bm25_search",  # integer-exact BM25 top-k (corpus-derived query terms)
-    "corpus_sample",  # deterministic per-language bottom-k subsample
-    "byte_pair_counts",  # first BPE iteration: adjacent-pair frequencies
-    "bpe_train_steps",  # two BPE iterations: count -> merge -> recount
-    "bpe_train",  # full N-merge BPE trainer: learned merge list
-    "bpe_encode",  # the encode pass: per-doc BPE token counts
     "vocab_coverage",  # library-only (nucleus vocab size at 50/90/99% mass)
     "curriculum_shards",  # library-only (exact global quality rank -> shards)
 ]
@@ -150,25 +144,16 @@ EMBEDDING_QUERIES = [
     "knn_bruteforce",
     "knn_lsh",
     "knn_ivf",             # integer-exact sampled coarse quantizer
+    "centroid_by_label",   # library-only (per-label integer centroids)
     # embedding_neardup / _lsh: see test_adversarial_embeddings_cosine_pairs
     # (identical vectors put cos exactly on the 1/1000 floor grid, where
     # numpy and DuckDB float paths legitimately differ by one ulp)
-    "pq_encode",           # library-only (PQ codes + recon err)
-    "pq_search",           # library-only (ADC top-k)
-    "knn_ivfpq",
-    "knn_ivfpq_rerank",    # IVFADC+R exact refine
-    "kmeans_step",         # one exact Lloyd iteration
-    "kmeans_train",        # N-iteration exact Lloyd trainer
-    "knn_ivf_trained",     # IVF over the trained quantizer
-    "knn_ivfpq_trained",   # trained coarse + PQ-ADC
-    "centroid_by_label",   # library-only (per-label integer centroids)
 ]
 
 
 def make_adversarial_embeddings(tmp_path) -> str:
-    """Edge-case embeddings: vec_ids 0 and 1 IDENTICAL (they are queries,
-    coarse centroids AND codebook entries -> ties in routing, ADC and
-    ranking everywhere; a Lloyd cluster empties then may repopulate),
+    """Edge-case embeddings: vec_ids 0 and 1 IDENTICAL (they are queries
+    AND coarse centroids -> ties in routing and ranking everywhere),
     exact duplicates deep in the corpus (neighbor-id tie-breaks), a
     scaled copy (cosine ties), a near-zero vector, coordinates at exact
     fixed-point boundaries (0.5, -0.25) and inexact floats, one skewed

@@ -136,10 +136,8 @@ def test_bounded_cache_caps_size_fifo():
 def test_module_caches_are_bounded():
     """The long-lived memo caches all use BoundedCache."""
     from dstream_ray.common import BoundedCache
-    from dstream_ray.pipelines import dataops, queries
+    from dstream_ray.pipelines import queries
     from dstream_ray.stages import enrich
 
-    assert isinstance(dataops._BM25_CACHE, BoundedCache)
-    assert isinstance(dataops._BPE_CACHE, BoundedCache)
     assert isinstance(queries._STREAMING_CACHE, BoundedCache)
     assert isinstance(enrich._DIM_CACHE, BoundedCache)

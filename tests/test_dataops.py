@@ -1,12 +1,12 @@
 """Training-data operator tests: sketch ops validated against brute force,
-LSH recall, multimodal plumbing, fingerprint properties."""
+LSH recall, the raw-RGB codec, fingerprint properties."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-from dstream_ray.stages import ann, dedup, multimodal, text
+from dstream_ray.stages import dedup, multimodal, text
 
 
 def make_docs_with_dups(n=60, seed=13):
@@ -126,12 +126,14 @@ def test_vectorized_batch_kernels_match_scalar_references():
         assert np.array_equal(flat[off[i] : off[i + 1]], dedup._token_hashes(t)), i
         assert np.array_equal(sigs[i], mh.signature(t)), i
         assert sims[i] == dedup.simhash64(t), i
-    # pairwise exact-jaccard kernel vs scalar jaccard
+    # pairwise exact-jaccard counts vs scalar jaccard (both-empty pairs
+    # have union 0; the scalar reference scores them 1.0)
     a_txt, b_txt = texts, list(reversed(texts))
-    pj = dedup.pair_jaccard_batch(pa.array(a_txt), pa.array(b_txt))
+    inter, union = dedup.pair_jaccard_counts_batch(pa.array(a_txt), pa.array(b_txt))
     for i, (ta, tb) in enumerate(zip(a_txt, b_txt)):
         ref = dedup.jaccard(dedup.shingle_hashes(ta), dedup.shingle_hashes(tb))
-        assert abs(pj[i] - ref) < 1e-12, i
+        got = inter[i] / union[i] if union[i] else 1.0
+        assert abs(got - ref) < 1e-12, i
 
 
 def test_vectorized_kernels_handle_sliced_and_chunked_arrays():
@@ -337,18 +339,6 @@ def test_distributed_components_match_union_find(ray_session):
     pd.testing.assert_frame_equal(got, exp)
 
 
-def test_langid_ngram_on_synthetic_multilingual():
-    clf = text.LangIdNgram()
-    samples = {
-        "en": "this is a simple sentence about the weather and the house",
-        "de": "dies ist ein einfacher satz über das wetter und das haus",
-        "fr": "ceci est une phrase simple sur le temps et la maison",
-        "es": "esta es una frase sencilla sobre el tiempo y la casa",
-    }
-    for lang, s in samples.items():
-        assert clf.classify(s) == lang, (lang, s)
-
-
 def test_rolling_fingerprint_stability():
     t1 = pa.table({"doc_id": pa.array([0, 1]), "text": pa.array(["hello world " * 10, "completely different content here"])})
     out1 = text.rolling_fingerprint(t1)
@@ -388,42 +378,6 @@ def test_knn_lsh_recall_vs_bruteforce(ray_session, sf_tiny):
     # bucket recall: LSH neighbors that appear in brute-force top-10
     merged = lsh.merge(bf, on=["query_id", "neighbor_id"], how="inner")
     assert len(merged) > 0  # finds at least some true neighbors
-
-
-def test_multimodal_featurizer_plumbing(ray_session):
-    import ray.data as rd
-
-    media = multimodal.generate_media_table(n=48, seed=5)
-    ds = rd.from_arrow(media)
-    out = ds.map_batches(
-        multimodal.MediaFeaturizer,
-        batch_format="pyarrow",
-        batch_size=16,
-        concurrency=2,
-        fn_constructor_kwargs={"decode": "fake"},
-    ).to_pandas()
-    assert len(out) == 48
-    assert set(out.columns) == {"media_id", "kind", "embedding", "feat_mean", "feat_std"}
-    assert out["embedding"].map(len).eq(32).all()
-    # determinism across runs
-    out2 = ds.map_batches(
-        multimodal.MediaFeaturizer,
-        batch_format="pyarrow",
-        batch_size=16,
-        concurrency=2,
-        fn_constructor_kwargs={"decode": "fake"},
-    ).to_pandas()
-    pd.testing.assert_frame_equal(
-        out.sort_values("media_id").reset_index(drop=True)[["media_id", "feat_mean"]],
-        out2.sort_values("media_id").reset_index(drop=True)[["media_id", "feat_mean"]],
-    )
-
-
-def test_multimodal_strict_decode_raises():
-    feat = multimodal.MediaFeaturizer(decode="strict")
-    batch = multimodal.generate_media_table(n=2, seed=5)
-    with pytest.raises(NotImplementedError):
-        feat(batch)
 
 
 def test_dedup_exact_with_actual_duplicates(ray_session):
@@ -515,38 +469,6 @@ def test_cep_pattern_kernel():
     assert out["c1"] == 1 and out["c2"] == 1
 
 
-def test_frame_sample_expansion(ray_session):
-    import ray.data as rd
-
-    media = multimodal.generate_media_table(n=40, seed=5)
-    out = (
-        rd.from_arrow(media)
-        .map_batches(lambda b: multimodal.frame_sample(b, every=8),
-                     batch_format="pyarrow", batch_size=16)
-        .to_pandas()
-    )
-    src = media.to_pandas().set_index("media_id")
-    for mid, g in out.groupby("media_id"):
-        row = src.loc[mid]
-        if row["kind"] == "video" and row["n_frames"] > 1:
-            expected = list(range(0, int(row["n_frames"]), 8))
-        else:
-            expected = [0]
-        assert sorted(g["frame_idx"]) == expected, mid
-    assert (out["frame_payload"].map(len) <= 16).all()
-    # deterministic
-    out2 = (
-        rd.from_arrow(media)
-        .map_batches(lambda b: multimodal.frame_sample(b, every=8),
-                     batch_format="pyarrow", batch_size=16)
-        .to_pandas()
-    )
-    pd.testing.assert_frame_equal(
-        out.sort_values(["media_id", "frame_idx"]).reset_index(drop=True),
-        out2.sort_values(["media_id", "frame_idx"]).reset_index(drop=True),
-    )
-
-
 def test_streaming_cep_kernel_epoch_invariance():
     from dstream_ray.stages.cep import cep_kernel, cep_pattern_kernel
     from dstream_ray.sources.transcripts import generate_transcripts
@@ -591,40 +513,6 @@ def test_streaming_cep_in_engine(ray_session, tmp_path):
     exp = cep_pattern_kernel(full, pattern="ua*t").to_pandas()
     m = got.merge(exp, on="conv_id", suffixes=("_s", "_b"))
     assert len(m) == len(exp) and (m["n_matches_s"] == m["n_matches_b"]).all()
-
-
-def test_audio_chunk_expansion(ray_session):
-    import ray.data as rd
-
-    media = multimodal.generate_media_table(n=40, seed=5)
-    out = (
-        rd.from_arrow(media)
-        .map_batches(lambda b: multimodal.audio_chunk(b, chunk_ms=250),
-                     batch_format="pyarrow", batch_size=16)
-        .to_pandas()
-    )
-    src = media.to_pandas().set_index("media_id")
-    for mid, g in out.groupby("media_id"):
-        row = src.loc[mid]
-        if row["kind"] == "audio" and row["sample_rate"] > 0:
-            bpc = max(1, int(row["sample_rate"]) * 250 // 1000)
-            exp = max(1, -(-len(row["payload"]) // bpc))
-        else:
-            exp = 1
-        assert sorted(g["chunk_idx"]) == list(range(exp)), mid
-        assert (g.sort_values("chunk_idx")["start_ms"].diff().dropna() >= 0).all()
-    assert (out["chunk_payload"].map(len) <= 64).all()
-    # deterministic across runs
-    out2 = (
-        rd.from_arrow(media)
-        .map_batches(lambda b: multimodal.audio_chunk(b, chunk_ms=250),
-                     batch_format="pyarrow", batch_size=16)
-        .to_pandas()
-    )
-    pd.testing.assert_frame_equal(
-        out.sort_values(["media_id", "chunk_idx"]).reset_index(drop=True),
-        out2.sort_values(["media_id", "chunk_idx"]).reset_index(drop=True),
-    )
 
 
 def test_cep_empty_and_nonascii_roles_skip_position():
@@ -890,8 +778,8 @@ def test_knn_classify_matches_numpy_reference(ray_session, sf_tiny):
 
 def test_raw_rgb_roundtrip_and_real_decode_features():
     """encode_rgb_raw/decode_rgb_raw are a REAL byte-level codec: exact
-    pixel roundtrip, length/magic validation, and the featurizer's 'auto'
-    mode computes stats from the true decoded luminance plane."""
+    pixel roundtrip, length/magic validation, and raw_int_features computes
+    its integer features from the true decoded pixels."""
     import numpy as np
     import pyarrow as pa
 
@@ -906,27 +794,15 @@ def test_raw_rgb_roundtrip_and_real_decode_features():
     with _pytest.raises(ValueError, match="length mismatch"):
         multimodal.decode_rgb_raw(payload[:-5])
 
-    feat = multimodal.MediaFeaturizer(decode="auto")
     batch = pa.table({
         "media_id": pa.array([0], type=pa.int64()),
-        "kind": pa.array(["image_raw"]),
         "payload": pa.array([payload], type=pa.binary()),
-        "width": pa.array([31], type=pa.int32()),
-        "height": pa.array([19], type=pa.int32()),
     })
-    out = feat(batch).to_pandas()
-    lum = (img[:, :, 0] * 0.299 + img[:, :, 1] * 0.587 + img[:, :, 2] * 0.114)
-    assert abs(out["feat_mean"][0] - lum.mean()) < 1e-4
-    assert abs(out["feat_std"][0] - lum.std()) < 1e-4
-    # non-raw payloads under 'auto' fall back to the fake-decode plumbing
-    fake = pa.table({
-        "media_id": pa.array([1], type=pa.int64()),
-        "kind": pa.array(["image"]),
-        "payload": pa.array([b"\x01\x02\x03\x04" * 64], type=pa.binary()),
-        "width": pa.array([32], type=pa.int32()),
-        "height": pa.array([32], type=pa.int32()),
-    })
-    assert feat(fake).num_rows == 1
+    out = multimodal.raw_int_features(batch).to_pylist()[0]
+    px = img.astype(np.int64)
+    assert (out["width"], out["height"]) == (31, 19)
+    assert out["lum_wsum"] == int((299 * px[:, :, 0] + 587 * px[:, :, 1] + 114 * px[:, :, 2]).sum())
+    assert (out["px_sum"], out["px_max"]) == (int(px.sum()), int(px.max()))
 
 
 def test_pii_scrub_kernel_edges():
@@ -1264,48 +1140,6 @@ def test_inverted_index_known_structure(ray_session, tmp_path):
     assert post.set_index(["token", "doc_id"]).loc[("a", 10), "tf"] == 2
 
 
-def test_pq_encode_codebook_vectors_are_exact(ray_session, sf_tiny):
-    """Structural invariant: the sampled codebook vectors (vec_id < PQ_K)
-    encode to THEMSELVES in every subspace with zero reconstruction
-    error; all codes are in [0, PQ_K) and recon_err >= 0."""
-    import dstream_ray.pipelines.dataops as d
-
-    out = d.q_pq_encode(sf_tiny).to_pandas().set_index("vec_id").sort_index()
-    code_cols = [f"code_{m}" for m in range(d.PQ_M)]
-    assert ((out[code_cols] >= 0) & (out[code_cols] < d.PQ_K)).all().all()
-    assert (out["recon_err"] >= 0).all()
-    cb = out.loc[out.index < d.PQ_K]
-    assert (cb["recon_err"] == 0).all()
-    for m in range(d.PQ_M):
-        assert (cb[f"code_{m}"] == cb.index).all()
-
-
-def test_pq_search_recall_beats_random(ray_session, sf_tiny):
-    """ADC top-10 over 16-codeword PQ on random 64-d vectors: recall vs
-    exact fixed-point L2 must far exceed the ~0.02 random baseline
-    (measured ~0.30 on this corpus)."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-    from dstream_ray.stages import ann
-
-    t = pq.read_table(f"{sf_tiny}/embeddings.parquet")
-    X = np.floor(ann._stack(t["embedding"]) * 1e6)
-    ids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)
-    got = d.q_pq_search(sf_tiny)
-    recs = []
-    for qid in sorted(got["query_id"].unique()):
-        qv = X[ids == qid][0]
-        dist = ((X - qv) ** 2).sum(axis=1)
-        order = np.lexsort((ids, dist))
-        exact = [i for i in ids[order] if i != qid][:10]
-        approx = got[got["query_id"] == qid]["neighbor_id"].tolist()
-        assert len(approx) == 10
-        recs.append(len(set(exact) & set(approx)) / 10)
-    assert sum(recs) / len(recs) >= 0.15, recs
-
-
 def test_curriculum_shards_structure(ray_session, sf_tiny):
     """The distributed rank is an exact permutation of [0, n): shards are
     contiguous rank ranges of near-equal size, monotone in score, and
@@ -1548,459 +1382,3 @@ def test_stratified_split_proportions_and_determinism(ray_session, sf_tiny):
             assert 0.6 <= (g["split"] == "train").mean() <= 0.95, lang
     # buckets and names agree
     assert ((out["bucket"] < 80) == (out["split"] == "train")).all()
-
-
-# ---------------------------------------------------------------------------
-# q_bpe_train: the N-merge distributed BPE trainer vs a scalar reference
-# ---------------------------------------------------------------------------
-
-
-def _scalar_bpe(texts, n_merges):
-    """Pure-Python BPE reference: count adjacent character pairs per doc
-    (overlapping positions count), merge the (count DESC, pair ASC) top via
-    left-to-right non-overlapping str.replace with the same reserved merge
-    symbols the engine uses."""
-    from collections import Counter
-
-    from dstream_ray.pipelines.oracles import BPE_MERGE_SYMBOLS
-
-    texts = list(texts)
-    merges = []
-    for step in range(n_merges):
-        cnt = Counter()
-        for t in texts:
-            for i in range(len(t) - 1):
-                cnt[t[i:i + 2]] += 1
-        if not cnt:
-            break
-        pair, n = min(cnt.items(), key=lambda kv: (-kv[1], kv[0]))
-        merges.append((step + 1, pair, n))
-        texts = [t.replace(pair, BPE_MERGE_SYMBOLS[step]) for t in texts]
-    return merges
-
-
-def _write_docs(tmp_path, texts):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    tbl = pa.table({
-        "doc_id": pa.array(range(len(texts)), type=pa.int64()),
-        "text": pa.array(texts),
-        "lang": pa.array(["en"] * len(texts)),
-        "source": pa.array(["s"] * len(texts)),
-        "n_chars": pa.array([len(t) for t in texts], type=pa.int64()),
-    })
-    pq.write_table(tbl, str(tmp_path / "documents.parquet"))
-
-
-BPE_ADVERSARIAL_CORPORA = [
-    # overlapping runs: "aaaa" has 3 'aa' positions but only 2 replacements
-    ["aaaa aaa aa", "aaaaaaa", "a"],
-    # exhaustion: merges run out before n_merges (engine must break early)
-    ["ab", "ab", "ab"],
-    # tie-breaks: equal counts -> lexicographically smaller pair wins
-    ["xy xy zw zw", "zw xy"],
-    # merge-of-merge: later merges pair earlier merge symbols
-    ["abab abab abab", "ababab cdcd", "abcd abcd"],
-    # empties / single chars / whitespace-only docs contribute nothing
-    ["", "q", "  ", "the the the", "\tthe\n"],
-    # heavy duplication + long doc (replace must stay non-overlapping)
-    ["lorem ipsum " * 50, "mississippi " * 20, "banana bandana"],
-]
-
-
-def test_bpe_train_matches_scalar_reference(ray_session, tmp_path):
-    """The distributed merge list (pair, count, order) equals the scalar
-    str.replace reference on every adversarial corpus, including early
-    exhaustion and merges whose pairs contain earlier merge symbols."""
-    import dstream_ray.pipelines.dataops as d
-
-    for ci, texts in enumerate(BPE_ADVERSARIAL_CORPORA):
-        sub = tmp_path / f"c{ci}"
-        sub.mkdir()
-        _write_docs(sub, texts)
-        got = d.q_bpe_train(str(sub), n_merges=8)
-        want = _scalar_bpe(texts, 8)
-        got_list = [(int(r.step), r.pair, int(r.n)) for r in got.itertuples()]
-        assert got_list == want, (ci, texts, got_list, want)
-
-
-def test_bpe_train_default_merge_budget(ray_session, sf_tiny):
-    """Default run learns BPE_TRAIN_MERGES merges on the real corpus, steps
-    strictly ordered, counts non-increasing is NOT required (merges can
-    unlock bigger pairs) but every count is positive."""
-    import dstream_ray.pipelines.dataops as d
-    from dstream_ray.pipelines.oracles import BPE_TRAIN_MERGES
-
-    out = d.q_bpe_train(sf_tiny)
-    assert list(out["step"]) == list(range(1, BPE_TRAIN_MERGES + 1))
-    assert (out["n"] > 0).all()
-    assert out["pair"].str.len().eq(2).all()
-
-
-def test_bpe_ascii_contract_raises_loudly(ray_session, tmp_path):
-    """A non-ASCII corpus must fail the BPE family loudly (ADVICE r4), not
-    silently desynchronize from the character-pair oracle."""
-    import pytest as _pytest
-
-    import dstream_ray.pipelines.dataops as d
-
-    _write_docs(tmp_path, ["café au lait", "plain ascii"])
-    with _pytest.raises(Exception, match="ASCII oracle contract"):
-        d.q_bpe_train(str(tmp_path), n_merges=2)
-
-
-def test_bpe_encode_matches_scalar_reference(ray_session, tmp_path):
-    """The encode pass's per-doc token counts equal a scalar str.replace
-    replay of the learned merge list on every adversarial corpus, and
-    n_chars - n_tok_bpe totals the number of merge applications."""
-    import dstream_ray.pipelines.dataops as d
-    from dstream_ray.pipelines.oracles import BPE_MERGE_SYMBOLS
-
-    for ci, texts in enumerate(BPE_ADVERSARIAL_CORPORA):
-        sub = tmp_path / f"e{ci}"
-        sub.mkdir()
-        _write_docs(sub, texts)
-        got = d.q_bpe_encode(str(sub), n_merges=8)
-        # scalar replay: learn with the shared reference, then encode
-        merges = _scalar_bpe(texts, 8)
-        enc = list(texts)
-        for step, pair, _n in merges:
-            enc = [t.replace(pair, BPE_MERGE_SYMBOLS[step - 1]) for t in enc]
-        want = [(i, len(t), len(e)) for i, (t, e) in enumerate(zip(texts, enc))]
-        got_list = [(int(r.doc_id), int(r.n_chars), int(r.n_tok_bpe))
-                    for r in got.itertuples()]
-        assert got_list == want, (ci, texts, got_list, want)
-        assert (got["n_tok_bpe"] <= got["n_chars"]).all()
-
-
-def test_knn_ivfpq_full_probe_equals_flat_pq(ray_session, sf_tiny):
-    """Composition sanity: probing ALL lists must reduce IVF+PQ to the flat
-    PQ-ADC scan bit-for-bit (same codes, same tables, same ranking)."""
-    import pandas as pd
-
-    import dstream_ray.pipelines.dataops as d
-
-    flat = (d.q_pq_search(sf_tiny)
-            .sort_values(["query_id", "rank"]).reset_index(drop=True))
-    full = (d.q_knn_ivfpq(sf_tiny, n_probe=d.IVF_INT_LISTS)
-            .sort_values(["query_id", "rank"]).reset_index(drop=True))
-    pd.testing.assert_frame_equal(full, flat[full.columns])
-
-
-def test_knn_ivfpq_recall_beats_equal_compute_subset(ray_session, sf_tiny):
-    """IVF routing must BEAT the equal-compute strawman: for each query,
-    a PQ-ADC scan over a uniformly random corpus subset of exactly the
-    same size as that query's probed lists. Ground truth is the exact
-    fixed-point L2 top-10 (the metric ADC approximates); IVFPQ recall
-    must also clear the flat-PQ floor despite scanning ~n_probe/n_lists
-    of the corpus."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-    from dstream_ray.stages import ann
-
-    t = pq.read_table(f"{sf_tiny}/embeddings.parquet")
-    order = np.argsort(np.asarray(t["vec_id"].to_pylist(), dtype=np.int64))
-    X = np.floor(ann._stack(t["embedding"]) * 1e6)[order]
-    ids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)[order]
-    C_ivf = X[: d.IVF_INT_LISTS]
-    C_pq = X[: d.PQ_K]
-    d_sub = X.shape[1] // d.PQ_M
-
-    # scalar twin of the engine math: assignments, probes, full ADC matrix
-    lists = np.argmax(X @ C_ivf.T, axis=1)
-    qids = ids[ids < 8]
-    Qf = X[ids < 8]
-    probe_mat = np.argsort(-(Qf @ C_ivf.T), axis=1, kind="stable")[:, : d.IVF_INT_PROBE]
-    adc = np.zeros((len(qids), len(X)))
-    for m in range(d.PQ_M):
-        sub = X[:, m * d_sub:(m + 1) * d_sub]
-        cs = C_pq[:, m * d_sub:(m + 1) * d_sub]
-        dd = ((sub * sub).sum(axis=1)[:, None] - 2.0 * (sub @ cs.T)
-              + (cs * cs).sum(axis=1)[None, :])
-        codes = np.argmin(dd, axis=1)
-        qsub = Qf[:, m * d_sub:(m + 1) * d_sub]
-        T = ((qsub * qsub).sum(axis=1)[:, None] - 2.0 * (qsub @ cs.T)
-             + (cs * cs).sum(axis=1)[None, :])
-        adc += T[:, codes]
-
-    got = d.q_knn_ivfpq(sf_tiny)
-    rng = np.random.default_rng(4242)
-    ivfpq_recs, subset_recs = [], []
-    for qi, qid in enumerate(qids):
-        dist = ((X - Qf[qi]) ** 2).sum(axis=1)
-        exact = [i for i in ids[np.lexsort((ids, dist))] if i != qid][:10]
-        approx = got[got["query_id"] == qid]["neighbor_id"].tolist()
-        assert len(approx) == 10
-        ivfpq_recs.append(len(set(exact) & set(approx)) / 10)
-        # equal-compute strawman: random subset of the probed-cand size
-        n_cand = int(np.isin(lists, probe_mat[qi]).sum())
-        for _ in range(3):
-            pick = rng.choice(len(ids), size=n_cand, replace=False)
-            pick = pick[ids[pick] != qid]
-            prow = adc[qi][pick]
-            top = ids[pick][np.lexsort((ids[pick], prow))][:10]
-            subset_recs.append(len(set(exact) & set(top)) / 10)
-    mean_ivfpq = sum(ivfpq_recs) / len(ivfpq_recs)
-    mean_subset = sum(subset_recs) / len(subset_recs)
-    assert mean_ivfpq >= 0.15, ivfpq_recs
-    assert mean_ivfpq > mean_subset, (mean_ivfpq, mean_subset)
-
-
-def test_knn_ivfpq_rerank_recall_dominates_plain(ray_session, sf_tiny):
-    """IVFADC+R's guaranteed-recall property: over the same probed
-    candidate set, every true top-10 member the plain ADC top-10 can hold
-    has ADC-rank <= 10 <= r, so it survives into the r=30 shortlist, and
-    the exact re-rank always keeps true members above non-members —
-    per-query recall@10 of the re-ranked list >= plain IVF+PQ. Also pins
-    that the re-ranked d2 values ARE the exact fixed-point distances."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-    from dstream_ray.stages import ann
-
-    t = pq.read_table(f"{sf_tiny}/embeddings.parquet")
-    order = np.argsort(np.asarray(t["vec_id"].to_pylist(), dtype=np.int64))
-    X = np.floor(ann._stack(t["embedding"]) * 1e6)[order]
-    ids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)[order]
-    qids = ids[ids < 8]
-    Qf = X[ids < 8]
-
-    plain = d.q_knn_ivfpq(sf_tiny)
-    rr = d.q_knn_ivfpq_rerank(sf_tiny)
-    better, worse = 0, 0
-    for qi, qid in enumerate(qids):
-        dist = ((X - Qf[qi]) ** 2).sum(axis=1)
-        exact = [i for i in ids[np.lexsort((ids, dist))] if i != qid][:10]
-        p = plain[plain["query_id"] == qid]["neighbor_id"].tolist()
-        g = rr[rr["query_id"] == qid]
-        r_ids = g["neighbor_id"].tolist()
-        rec_p = len(set(exact) & set(p))
-        rec_r = len(set(exact) & set(r_ids))
-        assert rec_r >= rec_p, (qid, rec_r, rec_p)
-        better += rec_r > rec_p
-        worse += rec_r < rec_p
-        # the emitted d2 is the exact fixed-point squared distance
-        lut = {int(i): int(dv) for i, dv in zip(ids, dist)}
-        for nid, dv in zip(r_ids, g["d2"]):
-            assert int(dv) == lut[int(nid)], (qid, nid)
-    assert worse == 0
-
-
-def test_kmeans_step_scalar_twin_and_descent(ray_session, sf_tiny):
-    """The distributed Lloyd step equals a scalar numpy twin exactly
-    (assignment, counts, sums, floored refined coordinates), and the
-    refined centroids reduce the k-means objective on the real corpus
-    (Lloyd descent; floor() perturbs each coordinate by < 1 fixed-point
-    unit, far below the sampled centroids' displacement)."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-    from dstream_ray.stages import ann
-
-    t = pq.read_table(f"{sf_tiny}/embeddings.parquet")
-    order = np.argsort(np.asarray(t["vec_id"].to_pylist(), dtype=np.int64))
-    X = np.floor(ann._stack(t["embedding"]) * 1e6)[order]
-    C = X[: d.IVF_INT_LISTS]
-    d2 = ((X * X).sum(1)[:, None] - 2.0 * (X @ C.T) + (C * C).sum(1)[None, :])
-    a = np.argmin(d2, axis=1)
-
-    got = d.q_kmeans_step(sf_tiny)
-    K, D = C.shape
-    n = np.bincount(a, minlength=K)
-    S = np.zeros((K, D))
-    np.add.at(S, a, X)
-    rows = []
-    for k in range(K):
-        if not n[k]:
-            continue
-        for j in range(D):
-            rows.append((k, j, int(n[k]), int(S[k, j]),
-                         int(np.floor(S[k, j] / n[k]))))
-    want = np.array(rows, dtype=np.int64)
-    assert got.shape == (len(rows), 5)
-    assert (got.to_numpy(dtype=np.int64) == want).all()
-
-    # Lloyd descent: same assignments, refined centers -> lower objective
-    C_new = C.copy()
-    lut = {(int(r[0]), int(r[1])): r[4] for r in want}
-    for (k, j), c in lut.items():
-        C_new[k, j] = c
-    j_old = (d2[np.arange(len(X)), a]).sum()
-    j_new = (((X - C_new[a]) ** 2).sum(axis=1)).sum()
-    assert j_new < j_old
-
-
-def _scalar_kmeans(X, K, n_iters):
-    """Pure-numpy Lloyd twin: integer squared-L2 assignment (first-min =
-    smaller cluster), floored mean refine, empty clusters keep coords."""
-    C = X[:K].copy()
-    n_last = np.zeros(K, dtype=np.int64)
-    for _ in range(n_iters):
-        d2 = ((X * X).sum(1)[:, None] - 2.0 * (X @ C.T) + (C * C).sum(1)[None, :])
-        a = np.argmin(d2, axis=1)
-        n_last = np.bincount(a, minlength=K).astype(np.int64)
-        C_next = C.copy()
-        for k in range(K):
-            if n_last[k]:
-                C_next[k] = np.floor(X[a == k].sum(axis=0) / n_last[k])
-        C = C_next
-    return C, n_last
-
-
-def test_kmeans_train_scalar_twin_descent_and_empty_cluster(ray_session, tmp_path):
-    """The N-iteration distributed trainer equals the scalar Lloyd twin
-    exactly — including a cluster that EMPTIES on iteration 1 (two
-    identical sampled centroids; ties go to the smaller cluster, so
-    cluster 1 keeps its original coordinates with n=0) — and the
-    objective strictly decreases over the default run on real data."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-    from dstream_ray.stages import ann
-
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(24, 4)).astype(np.float64)
-    X[1] = X[0]  # sampled centroids 0 and 1 coincide -> cluster 1 empties
-    tbl = pa.table({
-        "vec_id": pa.array(range(24), type=pa.int64()),
-        "embedding": pa.array([list(map(float, r)) for r in X],
-                              type=pa.list_(pa.float32())),
-    })
-    pq.write_table(tbl, str(tmp_path / "embeddings.parquet"))
-    Xi = np.floor(ann._stack(tbl["embedding"]) * 1e6)
-    # after ONE iteration cluster 1 is empty (all ties -> cluster 0) and
-    # keeps its original coordinates; later iterations may legitimately
-    # repopulate it once cluster 0's centroid moves off the tie point
-    one = d.q_kmeans_train(str(tmp_path), n_clusters=2, n_iters=1)
-    g1 = one[one["cluster_id"] == 1]
-    assert (g1["n"] == 0).all()
-    assert (g1["c"].to_numpy() == Xi[1].astype(np.int64)).all()
-    for iters in (1, 3):
-        got = d.q_kmeans_train(str(tmp_path), n_clusters=2, n_iters=iters)
-        C_want, n_want = _scalar_kmeans(Xi, 2, iters)
-        for k in range(2):
-            g = got[got["cluster_id"] == k].sort_values("dim")
-            assert (g["c"].to_numpy() == C_want[k].astype(np.int64)).all(), (iters, k)
-            assert (g["n"] == n_want[k]).all(), (iters, k)
-
-    # descent on the real corpus over the default iteration budget
-    sf = "/root/testdata/sf0.001"
-    t = pq.read_table(f"{sf}/embeddings.parquet")
-    order = np.argsort(np.asarray(t["vec_id"].to_pylist(), dtype=np.int64))
-    Xr = np.floor(ann._stack(t["embedding"]) * 1e6)[order]
-    K = d.IVF_INT_LISTS
-
-    def objective(C):
-        d2 = ((Xr * Xr).sum(1)[:, None] - 2.0 * (Xr @ C.T)
-              + (C * C).sum(1)[None, :])
-        return d2.min(axis=1).sum()
-
-    trained = d.q_kmeans_train(sf)
-    C_fin = np.zeros((K, Xr.shape[1]))
-    for k in range(K):
-        C_fin[k] = trained[trained["cluster_id"] == k].sort_values("dim")["c"].to_numpy()
-    assert objective(C_fin) < objective(Xr[:K])
-
-
-def test_knn_ivf_trained_full_probe_is_exact_knn(ray_session, sf_tiny):
-    """Because in-list ranking is the EXACT integer L2, probing every
-    list must reduce the trained-quantizer IVF to exact brute-force KNN
-    (a property the ADC-ranked variants cannot have); at the default
-    probe budget recall stays useful."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-    from dstream_ray.stages import ann
-
-    t = pq.read_table(f"{sf_tiny}/embeddings.parquet")
-    order = np.argsort(np.asarray(t["vec_id"].to_pylist(), dtype=np.int64))
-    X = np.floor(ann._stack(t["embedding"]) * 1e6)[order]
-    ids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)[order]
-    qids = ids[ids < 8]
-
-    full = d.q_knn_ivf_trained(sf_tiny, n_probe=d.IVF_INT_LISTS)
-    recs = []
-    probed = d.q_knn_ivf_trained(sf_tiny)
-    for qi, qid in enumerate(qids):
-        dist = ((X - X[ids == qid][0]) ** 2).sum(axis=1)
-        ordered = ids[np.lexsort((ids, dist))]
-        exact = [(int(i), int(dist[ids == i][0])) for i in ordered if i != qid][:10]
-        g = full[full["query_id"] == qid]
-        got = list(zip(g["neighbor_id"].astype(int), g["d2"].astype(int)))
-        assert got == exact, qid
-        p = probed[probed["query_id"] == qid]["neighbor_id"].tolist()
-        recs.append(len({n for n, _ in exact} & set(p)) / 10)
-    assert sum(recs) / len(recs) >= 0.15, recs
-
-
-def test_knn_ivfpq_trained_full_probe_equals_flat_pq(ray_session, sf_tiny):
-    """Routing by the TRAINED quantizer changes which lists are probed,
-    never the ADC scores — probing all lists must reduce to the flat
-    PQ-ADC scan bit-for-bit, exactly like the sampled-quantizer variant."""
-    import pandas as pd
-
-    import dstream_ray.pipelines.dataops as d
-
-    flat = (d.q_pq_search(sf_tiny)
-            .sort_values(["query_id", "rank"]).reset_index(drop=True))
-    full = (d.q_knn_ivfpq_trained(sf_tiny, n_probe=d.IVF_INT_LISTS)
-            .sort_values(["query_id", "rank"]).reset_index(drop=True))
-    pd.testing.assert_frame_equal(full, flat[full.columns])
-
-
-def test_png_roundtrip_all_filters():
-    """The minimal stdlib-zlib PNG codec: encode with each of the five
-    scanline filters (and the mixed cycle) and decode back bit-exact;
-    corrupted CRC and unsupported color types fail loudly."""
-    rng = np.random.default_rng(7)
-    for ft in [0, 1, 2, 3, 4, "mixed"]:
-        img = rng.integers(0, 256, (19, 23, 3)).astype(np.uint8)
-        assert (multimodal.decode_png(multimodal.encode_png(img, filter_type=ft)) == img).all(), ft
-    # degenerate sizes
-    one = rng.integers(0, 256, (1, 1, 3)).astype(np.uint8)
-    assert (multimodal.decode_png(multimodal.encode_png(one)) == one).all()
-    # CRC corruption raises
-    p = bytearray(multimodal.encode_png(one))
-    p[20] ^= 0xFF
-    with pytest.raises(ValueError, match="CRC"):
-        multimodal.decode_png(bytes(p))
-    # non-PNG magic raises
-    with pytest.raises(ValueError, match="not a PNG"):
-        multimodal.decode_png(b"JFIF....")
-    # unsupported depth/color honesty: fake a grayscale IHDR
-    import zlib as _z
-    ihdr = (1).to_bytes(4, "big") + (1).to_bytes(4, "big") + bytes([8, 0, 0, 0, 0])
-    chunk = len(ihdr).to_bytes(4, "big") + b"IHDR" + ihdr + (
-        _z.crc32(b"IHDR" + ihdr) & 0xFFFFFFFF).to_bytes(4, "big")
-    with pytest.raises(NotImplementedError, match="8-bit RGB"):
-        multimodal.decode_png(multimodal.PNG_MAGIC + chunk)
-
-
-def test_multimodal_png_real_decode_in_featurizer(ray_session):
-    """decode='auto' really decodes image_png rows: the featurizer's
-    feat_mean equals the direct Rec.601 luminance mean of the pixels that
-    were PNG-encoded (fake decode could not reproduce it)."""
-    import ray.data as rd
-
-    media = multimodal.generate_media_table(n=32, seed=5, raw_frac=0.25, png_frac=0.25)
-    kinds = media["kind"].to_pylist()
-    assert "image_png" in kinds and "image_raw" in kinds
-    out = (rd.from_arrow(media)
-           .map_batches(multimodal.MediaFeaturizer, batch_format="pyarrow",
-                        batch_size=8, concurrency=2,
-                        fn_constructor_kwargs={"decode": "auto"})
-           .to_pandas().set_index("media_id").sort_index())
-    payloads = media["payload"].to_pylist()
-    for i, (k, p) in enumerate(zip(kinds, payloads)):
-        if k != "image_png":
-            continue
-        px = multimodal.decode_png(p).astype(np.float32)
-        lum = px[:, :, 0] * 0.299 + px[:, :, 1] * 0.587 + px[:, :, 2] * 0.114
-        assert abs(out.loc[i, "feat_mean"] - float(lum.mean())) < 1e-3, i

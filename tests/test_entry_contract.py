@@ -2,8 +2,12 @@
 sf0.001 (row count + column names + order-insensitive values), and entry()
 runs the flagship streaming pipeline."""
 
+import ast
+import glob
 import os
+import re
 import sys
+from collections import Counter
 
 import duckdb
 import pandas as pd
@@ -77,3 +81,50 @@ def test_oracles_and_queries_are_one_to_one():
     assert len(set(LIBRARY_QUERIES) | set(qs)) == len(LIBRARY_QUERIES) + len(qs)
     assert set(ORACLE_SQL) == {n for n in qs if n in ORACLE_SQL} | set(LIBRARY_QUERIES)
     assert all(callable(library_query(n)) for n in LIBRARY_QUERIES)
+
+
+def _top_level_names(tree: ast.Module):
+    """(name, first line, last line) of every top-level def, class and
+    plain-name assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id, node.lineno, node.end_lineno
+
+
+def test_no_orphan_definitions():
+    """Every top-level definition in dstream_ray/ is used: its name occurs
+    as a whole word somewhere other than its own definition, counting the
+    package, tools/, tests/, perfbench/, bench.py and __ray_entry__.py.
+    ``q_<name>`` counts as used when ``<name>`` is in LIBRARY_QUERIES, which
+    ``library_query`` resolves by string. Ray-free."""
+    from tools.parity_check import LIBRARY_QUERIES
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = [
+        p
+        for d in ("dstream_ray", "tools", "tests", "perfbench")
+        for p in glob.glob(os.path.join(repo, d, "**", "*.py"), recursive=True)
+    ] + [os.path.join(repo, "bench.py"), os.path.join(repo, "__ray_entry__.py")]
+    words = Counter()
+    lines = {}
+    for p in files:
+        with open(p, encoding="utf-8") as f:
+            lines[p] = f.read().splitlines()
+        words.update(re.findall(r"\w+", "\n".join(lines[p])))
+    by_string = {f"q_{n}" for n in LIBRARY_QUERIES}
+    orphans = []
+    for p in files:
+        if not p.startswith(os.path.join(repo, "dstream_ray", "")):
+            continue
+        for name, lo, hi in _top_level_names(ast.parse("\n".join(lines[p]))):
+            if name.startswith("__") and name.endswith("__") or name in by_string:
+                continue
+            own = re.findall(rf"\b{name}\b", "\n".join(lines[p][lo - 1 : hi]))
+            if words[name] == len(own):
+                orphans.append(f"{os.path.relpath(p, repo)}:{lo} {name}")
+    assert not orphans, f"defined but never used: {orphans}"

@@ -1,102 +1,5 @@
-"""Retrieval family: integer-exact BM25 and hybrid RRF fusion against
-DuckDB on an adversarial two-table corpus (rrf ties, ids present on only
-one side, negative embedding coordinates, repeated tokens, empty docs)."""
-
-import duckdb
-import numpy as np
-import pandas as pd
-import pyarrow as pa
-import pyarrow.parquet as pq
-import pytest
-
-
-def make_corpus(tmp_path) -> str:
-    rng = np.random.default_rng(42)
-    vocab = [f"w{i}" for i in range(60)]
-    texts = []
-    for i in range(80):
-        if i % 17 == 3:
-            texts.append("")  # empty doc
-        elif i % 11 == 5:
-            texts.append(" ".join(["w0"] * 30))  # extreme tf, one token
-        else:
-            n = int(rng.integers(3, 40))
-            texts.append(" ".join(rng.choice(vocab, size=n)))
-    docs = pa.table({
-        "doc_id": pa.array(np.arange(80), type=pa.int64()),
-        "text": pa.array(texts),
-        "lang": pa.array(["en"] * 80),
-        "source": pa.array(["s0"] * 80),
-        "n_chars": pa.array([len(t) for t in texts], type=pa.int64()),
-    })
-    pq.write_table(docs, str(tmp_path / "documents.parquet"))
-    # embeddings only for HALF the ids (fusion must handle one-sided rows),
-    # including negative coordinates and exact duplicates (rank ties broken
-    # by vec_id on both sides)
-    emb = rng.normal(size=(40, 16)).astype(np.float32)
-    emb[7] = emb[3]  # exact duplicate vector
-    embeddings = pa.table({
-        "vec_id": pa.array(np.arange(40), type=pa.int64()),
-        "embedding": pa.array(list(emb), type=pa.list_(pa.float32())),
-        "label": pa.array(np.zeros(40), type=pa.int32()),
-    })
-    pq.write_table(embeddings, str(tmp_path / "embeddings.parquet"))
-    return str(tmp_path)
-
-
-@pytest.mark.parametrize("qname", ["bm25_search", "hybrid_search"])
-def test_retrieval_matches_duckdb(ray_session, tmp_path, qname):
-    from dstream_ray.pipelines import dataops as d
-    from dstream_ray.pipelines.oracles import ORACLE_SQL
-
-    sf_dir = make_corpus(tmp_path)
-    got = {"bm25_search": d.q_bm25_search,
-           "hybrid_search": d.q_hybrid_search}[qname](sf_dir)
-    con = duckdb.connect()
-    for t in ("documents", "embeddings"):
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
-        )
-    exp = con.execute(ORACLE_SQL[qname]).fetch_df()
-    pd.testing.assert_frame_equal(
-        got.reset_index(drop=True), exp, check_dtype=False, obj=qname
-    )
-
-
-def test_bm25_empty_and_tiny_corpus(ray_session, tmp_path):
-    """A corpus whose vocabulary is smaller than the highest query-term
-    rank still works (fewer terms selected, both sides agree), and an
-    all-empty corpus returns an empty frame instead of raising."""
-    from dstream_ray.pipelines import dataops as d
-    from dstream_ray.pipelines.oracles import ORACLE_SQL
-
-    docs = pa.table({
-        "doc_id": pa.array([0, 1, 2], type=pa.int64()),
-        "text": pa.array(["a b a", "b c", "c a"]),
-        "lang": pa.array(["en"] * 3),
-        "source": pa.array(["s0"] * 3),
-        "n_chars": pa.array([5, 3, 3], type=pa.int64()),
-    })
-    pq.write_table(docs, str(tmp_path / "documents.parquet"))
-    got = d.q_bm25_search(str(tmp_path))
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{tmp_path}/documents.parquet')"
-    )
-    exp = con.execute(ORACLE_SQL["bm25_search"]).fetch_df()
-    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
-    assert len(got) == 0  # vocab of 3 < lowest query rank 10
-
-    empty = pa.table({
-        "doc_id": pa.array([0, 1], type=pa.int64()),
-        "text": pa.array(["", "   "]),
-        "lang": pa.array(["en"] * 2),
-        "source": pa.array(["s0"] * 2),
-        "n_chars": pa.array([0, 3], type=pa.int64()),
-    })
-    pq.write_table(empty, str(tmp_path / "documents.parquet"))
-    out = d.q_bm25_search(str(tmp_path))
-    assert list(out.columns) == ["doc_id", "score"] and len(out) == 0
+"""Retrieval on the engine path: the ingest-time postings kernel behind
+``streaming_index`` (stages/capture.index_kernel)."""
 
 
 def test_index_kernel_matches_str_split():
@@ -133,47 +36,3 @@ def test_index_kernel_matches_str_split():
     both = {(r["token"], r["conv_id"], r["turn_idx"]): r["tf"]
             for r in pa.concat_tables([a, b]).to_pylist()}
     assert both == exp
-
-
-def test_bm25_scored_caches_only_topk(ray_session, tmp_path):
-    """Scale fix (VERDICT r5 ask #1): the driver-side BM25 frame is the
-    in-cluster top-max(BM25_TOP, HYBRID_M) head, never the full matched-doc
-    set — the sort+limit happens inside the Dataset pipeline."""
-    from dstream_ray.pipelines import dataops as d
-
-    sf_dir = make_corpus(tmp_path)
-    scored = d._bm25_scored(sf_dir)
-    assert len(scored) <= max(d.BM25_TOP, d.HYBRID_M)
-    # descending (score, doc_id asc) order is preserved by the cluster sort
-    s = scored["score"].to_numpy()
-    assert (s[:-1] >= s[1:]).all()
-
-
-def test_hybrid_search_empty_embeddings(ray_session, tmp_path):
-    """ADVICE r4: an empty embeddings table degrades to lexical-only RRF
-    instead of raising IndexError on qrow['embedding'][0]."""
-    import duckdb as _duckdb
-
-    from dstream_ray.pipelines import dataops as d
-    from dstream_ray.pipelines.oracles import ORACLE_SQL
-
-    sf_dir = make_corpus(tmp_path)
-    empty_emb = pa.table({
-        "vec_id": pa.array([], type=pa.int64()),
-        "doc_id": pa.array([], type=pa.int64()),
-        "embedding": pa.array([], type=pa.list_(pa.float32())),
-        "label": pa.array([], type=pa.int32()),
-    })
-    pq.write_table(empty_emb, f"{sf_dir}/embeddings.parquet")
-    got = d.q_hybrid_search(sf_dir)
-    assert list(got.columns) == ["doc_id", "rrf"]
-    assert len(got) == d.HYBRID_TOP  # lexical side alone fills the head
-    con = _duckdb.connect()
-    for t in ("documents", "embeddings"):
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
-        )
-    exp = con.execute(ORACLE_SQL["hybrid_search"]).fetch_df()
-    pd.testing.assert_frame_equal(
-        got.reset_index(drop=True), exp, check_dtype=False
-    )

@@ -770,8 +770,9 @@ def test_engine_runs_from_non_repo_cwd_without_pythonpath(tmp_path, feed_kind, s
     a remote task body breaks drivers whose cwd is not the repo (the
     driver's own call pattern). Regressions: the feed-contract check once
     imported TRANSCRIPT_SCHEMA inside _split_task, the raw envelope parse
-    imported dstream_ray.common inside the split task, and the batch
-    q_tumbling_salted partial imported dstream_ray.common per batch."""
+    imported dstream_ray.common inside the split task, the batch
+    q_tumbling_salted partial imported dstream_ray.common per batch, and
+    q_quality_classify's scorer imported it per batch too."""
     import json as _json
     import subprocess
     import sys as _sys
@@ -802,6 +803,8 @@ print("ROWS", job.sink.read_op("events").num_rows)
 if {feed_kind == "parquet"!r}:
     from dstream_ray.pipelines.queries import q_tumbling_salted
     print("SALTED", len(q_tumbling_salted({sf_tiny!r})))
+    from dstream_ray.pipelines.dataops import q_quality_classify
+    print("QUALITY", q_quality_classify({sf_tiny!r}).count())
 ray.shutdown()
 """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -811,3 +814,4 @@ ray.shutdown()
     assert "ROWS" in r.stdout and int(r.stdout.split("ROWS")[1].split()[0]) > 0
     if feed_kind == "parquet":
         assert int(r.stdout.split("SALTED")[1].split()[0]) > 0
+        assert int(r.stdout.split("QUALITY")[1].split()[0]) > 0

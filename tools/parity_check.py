@@ -35,7 +35,6 @@ LIBRARY_QUERIES = (
     "embedding_norms",
     "text_normalize",
     "dedup_exact",
-    "lang_stats",
     "centroid_by_label",
     "sample_balanced",
     "curation_pipeline",
@@ -61,8 +60,6 @@ LIBRARY_QUERIES = (
     "line_dedup",
     "inverted_index",
     "vocab_coverage",
-    "pq_encode",
-    "pq_search",
     "curriculum_shards",
 )
 
