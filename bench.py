@@ -36,6 +36,7 @@ REPL = int(os.environ.get("RAY_GRAFT_BENCH_REPL", "1000"))
 FEED_SHARDS = int(os.environ.get("RAY_GRAFT_BENCH_SHARDS", "32"))
 PARTITIONS = int(os.environ.get("RAY_GRAFT_BENCH_PARTITIONS", "64"))
 SCALING_CPUS = (2, 8)
+REPO = os.path.dirname(os.path.abspath(__file__))
 
 
 def feed_cache_dir() -> str:
@@ -421,8 +422,8 @@ def _provider_run_once(base: str, corpora: list[str]) -> tuple[float, int]:
                 "--rows-per-shard", "50000", "--shard-prefix", f"prov{p:02d}",
                 "--", "cat", corpus,
             ],
-            cwd="/root/repo",
-            env=dict(os.environ, PYTHONPATH="/root/repo"),
+            cwd=REPO,
+            env=dict(os.environ, PYTHONPATH=REPO),
             stdout=subprocess.DEVNULL,
         )
         for p, corpus in enumerate(corpora)
@@ -468,7 +469,7 @@ def scaling_run() -> dict:
             RAY_GRAFT_CPUS=str(n),
             RAY_GRAFT_BENCH_HEADLINE_ONLY="1",
             RAY_GRAFT_TASK_CPUS="2",  # same per-task reservation at both levels
-            PYTHONPATH="/root/repo",
+            PYTHONPATH=REPO,
         )
         # best of N (default 3): this VM's run-to-run noise is +-30%
         # (BASELINE.md); the min is the cleanest estimate of the job's
@@ -481,7 +482,7 @@ def scaling_run() -> dict:
                 capture_output=True,
                 text=True,
                 check=True,
-                cwd="/root/repo",
+                cwd=REPO,
             ).stdout
             attempts.append(json.loads(out.strip().splitlines()[-1]))
         results[n] = min(attempts, key=lambda r: r["value"])

@@ -39,6 +39,7 @@ from dstream_ray.sources.transcripts import (
     ORACLE_PARTITIONS,
     events_to_transcripts_table,
 )
+from dstream_ray.stages.windows import GLOBAL_OPS
 
 register_pickle_by_value()
 
@@ -487,16 +488,7 @@ def q_streaming_sample_wm(sf_dir: str) -> pa.Table:
     """tumbling_sample under WATERMARK closure (early per-epoch emission
     over the ts-ordered feed): merged exactly like q_streaming_sample and
     gated on the SAME oracle — early emission must change nothing."""
-    partials = (_run_streaming_wm(sf_dir).sink
-                .read_op("tumbling_sample@wm").to_pandas())
-    merged = (
-        partials.sort_values(["window_id", "priority", "conv_id", "turn_idx"])
-        .groupby("window_id").head(SAMPLE_K)
-        [["window_id", "conv_id", "turn_idx", "n_chars"]]
-        .sort_values(["window_id", "conv_id", "turn_idx"])
-        .reset_index(drop=True)
-    )
-    return pa.Table.from_pandas(merged, preserve_index=False)
+    return _sample(_run_streaming_wm(sf_dir).sink.read_op("tumbling_sample@wm"))
 
 
 def q_streaming_events(sf_dir: str) -> pa.Table:
@@ -898,19 +890,52 @@ def q_streaming_neardup(sf_dir: str) -> pd.DataFrame:
     ).sort_values("doc_id").reset_index(drop=True)
 
 
+def _merge(op: str, frames: list[pd.DataFrame], bound: int | None = None) -> pd.DataFrame:
+    """Partials of global operator instance ``op`` merged by its own
+    combine rule and, given a bound, trimmed to it."""
+    spec = GLOBAL_OPS[op.split("@")[0]]
+    out = spec.combine(frames)
+    return out if bound is None else spec.trim(out, bound)
+
+
+def _merged(sf_dir: str, op: str, bound: int | None = None) -> pd.DataFrame:
+    """The committed partials of ``op`` merged by :func:`_merge`."""
+    return _merge(op, [_run_streaming(sf_dir).sink.read_op(op).to_pandas()], bound)
+
+
+def _top_values(merged: pd.DataFrame, k: int) -> pa.Table:
+    """The k largest counts per window, ties broken by value."""
+    top = (merged.sort_values(["window_id", "n", "value"], ascending=[True, False, True])
+           .groupby("window_id").head(k)[["window_id", "value", "n"]])
+    return pa.Table.from_pandas(top.reset_index(drop=True), preserve_index=False)
+
+
+def _sample(partials: pa.Table) -> pa.Table:
+    """The global bottom-k of per-partition bottom-k partials."""
+    merged = (
+        _merge("tumbling_sample", [partials.to_pandas()], SAMPLE_K)
+        [["window_id", "conv_id", "turn_idx", "n_chars"]]
+        .sort_values(["window_id", "conv_id", "turn_idx"])
+        .reset_index(drop=True)
+    )
+    return pa.Table.from_pandas(merged, preserve_index=False)
+
+
+def _pane_windows(op: str, panes: pd.DataFrame, bound: int | None = None) -> pd.DataFrame:
+    """Each SLIDING_GLOBAL_W_S window, sliding by one pane, merges its R
+    consecutive PANE_S panes: shift the pane table back by 0..R-1 windows
+    and merge the copies with the operator's own rule."""
+    shifted = [panes.assign(window_id=panes["window_id"] - i)
+               for i in range(SLIDING_GLOBAL_W_S // PANE_S)]
+    return _merge(op, shifted, bound)
+
+
 def q_streaming_global(sf_dir: str) -> pa.Table:
     """Committed sink of the 'tumbling_global' engine operator (cross-conv
     daily aggregate): each partition emits mergeable partial sums per
     window; the consumer-side merge below is bounded by windows × P rows
     (never by stream length) — gated against a global GROUP BY oracle."""
-    partials = _run_streaming(sf_dir).sink.read_op("tumbling_global").to_pandas()
-    merged = (
-        partials.groupby("window_id", as_index=False)
-        .sum()
-        .sort_values("window_id")
-        .reset_index(drop=True)
-    )
-    return pa.Table.from_pandas(merged, preserve_index=False)
+    return pa.Table.from_pandas(_merged(sf_dir, "tumbling_global"), preserve_index=False)
 
 
 def q_streaming_topk(sf_dir: str) -> pa.Table:
@@ -918,13 +943,7 @@ def q_streaming_topk(sf_dir: str) -> pa.Table:
     exact per-window top-k: partials (window, tool, n) summed across
     partitions (bounded by windows × vocabulary), then the top 3 tools per
     day by count (ties broken by value) — gated against a QUALIFY oracle."""
-    partials = _run_streaming(sf_dir).sink.read_op("tumbling_counts").to_pandas()
-    merged = (
-        partials.groupby(["window_id", "value"], as_index=False)["n"].sum()
-        .sort_values(["window_id", "n", "value"], ascending=[True, False, True])
-    )
-    topk = merged.groupby("window_id").head(3).reset_index(drop=True)
-    return pa.Table.from_pandas(topk, preserve_index=False)
+    return _top_values(_merged(sf_dir, "tumbling_counts"), 3)
 
 
 def q_streaming_topk_mg(sf_dir: str) -> pa.Table:
@@ -941,12 +960,7 @@ def q_streaming_topk_mg(sf_dir: str) -> pa.Table:
             "tumbling_topk decremented under the gated capacity — counts "
             "would be lower bounds, not exact; raise TOPK_MG_CAPACITY"
         )
-    merged = (
-        partials.groupby(["window_id", "value"], as_index=False)["n"].sum()
-        .sort_values(["window_id", "n", "value"], ascending=[True, False, True])
-    )
-    topk = merged.groupby("window_id").head(TOPK_MG_K).reset_index(drop=True)
-    return pa.Table.from_pandas(topk, preserve_index=False)
+    return _top_values(_merge("tumbling_topk", [partials]), TOPK_MG_K)
 
 
 def q_streaming_sample(sf_dir: str) -> pa.Table:
@@ -958,15 +972,7 @@ def q_streaming_sample(sf_dir: str) -> pa.Table:
     feed). The oracle recomputes the priority hash in HUGEINT and selects
     the same k rows with a QUALIFY — deterministic ingest-time sampling a
     10^12-turn feed could run with k rows of state per partition."""
-    partials = _run_streaming(sf_dir).sink.read_op("tumbling_sample").to_pandas()
-    merged = (
-        partials.sort_values(["window_id", "priority", "conv_id", "turn_idx"])
-        .groupby("window_id").head(SAMPLE_K)
-        [["window_id", "conv_id", "turn_idx", "n_chars"]]
-        .sort_values(["window_id", "conv_id", "turn_idx"])
-        .reset_index(drop=True)
-    )
-    return pa.Table.from_pandas(merged, preserve_index=False)
+    return _sample(_run_streaming(sf_dir).sink.read_op("tumbling_sample"))
 
 
 def q_streaming_sample_role(sf_dir: str) -> pa.Table:
@@ -975,12 +981,8 @@ def q_streaming_sample_role(sf_dir: str) -> pa.Table:
     state slot): a balanced bottom-k per (day, role). The consumer merge
     is the per-stratum semilattice bottom-k; the oracle partitions its
     QUALIFY by (window_id, role)."""
-    partials = (_run_streaming(sf_dir).sink
-                .read_op("tumbling_sample@role").to_pandas())
     merged = (
-        partials.sort_values(["window_id", "stratum", "priority",
-                              "conv_id", "turn_idx"])
-        .groupby(["window_id", "stratum"]).head(SAMPLE_BY_K)
+        _merged(sf_dir, "tumbling_sample@role", SAMPLE_BY_K)
         .rename(columns={"stratum": "role"})
         [["window_id", "role", "conv_id", "turn_idx"]]
         .sort_values(["window_id", "role", "conv_id", "turn_idx"])
@@ -996,13 +998,7 @@ def q_streaming_hll(sf_dir: str) -> pa.Table:
     windows × 2^p rows, never stream length — and the merged register
     table is gated register-for-register against the HUGEINT SQL oracle
     (the windowed form of `hll_registers`)."""
-    partials = _run_streaming(sf_dir).sink.read_op("tumbling_hll").to_pandas()
-    merged = (
-        partials.groupby(["window_id", "bucket"], as_index=False)["rank"].max()
-        .sort_values(["window_id", "bucket"])
-        .reset_index(drop=True)
-    )
-    return pa.Table.from_pandas(merged, preserve_index=False)
+    return pa.Table.from_pandas(_merged(sf_dir, "tumbling_hll"), preserve_index=False)
 
 
 def q_streaming_sliding_global(sf_dir: str) -> pa.Table:
@@ -1014,23 +1010,7 @@ def q_streaming_sliding_global(sf_dir: str) -> pa.Table:
     table. A sliding global aggregate therefore costs NOTHING beyond the
     tumbling panes — no per-window row duplication ever crosses the wire.
     Gated against the SQL expanded-window oracle."""
-    R = SLIDING_GLOBAL_W_S // PANE_S
-    partials = (
-        _run_streaming(sf_dir).sink.read_op("tumbling_global@pane6h").to_pandas()
-    )
-    panes = partials.groupby("window_id", as_index=False).sum()
-    frames = []
-    for i in range(R):
-        f = panes.copy()
-        f["window_id"] = f["window_id"] - i
-        frames.append(f)
-    out = (
-        pd.concat(frames, ignore_index=True)
-        .groupby("window_id", as_index=False)
-        .sum()
-        .sort_values("window_id")
-        .reset_index(drop=True)
-    )
+    out = _pane_windows("tumbling_global", _merged(sf_dir, "tumbling_global@pane6h"))
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
@@ -1054,20 +1034,9 @@ def q_streaming_sliding_sample(sf_dir: str) -> pa.Table:
     the k smallest of its own pane (bottom-k is mergeable, like the
     summed pane aggregates of q_streaming_sliding_global). A sliding
     uniform sample therefore costs nothing beyond the tumbling panes."""
-    R = SLIDING_GLOBAL_W_S // PANE_S
-    partials = (_run_streaming(sf_dir).sink
-                .read_op("tumbling_sample@pane6h").to_pandas())
     # pane-level semilattice merge first (bounded: k per pane)
-    panes = (partials.sort_values(["window_id", "priority", "conv_id", "turn_idx"])
-             .groupby("window_id").head(SAMPLE_K))
-    frames = []
-    for i in range(R):
-        f = panes.copy()
-        f["window_id"] = f["window_id"] - i
-        frames.append(f)
-    cand = pd.concat(frames, ignore_index=True)
-    out = (cand.sort_values(["window_id", "priority", "conv_id", "turn_idx"])
-           .groupby("window_id").head(SAMPLE_K)
+    panes = _merged(sf_dir, "tumbling_sample@pane6h", SAMPLE_K)
+    out = (_pane_windows("tumbling_sample", panes, SAMPLE_K)
            [["window_id", "conv_id", "turn_idx"]]
            .sort_values(["window_id", "conv_id", "turn_idx"])
            .reset_index(drop=True))
@@ -1081,13 +1050,7 @@ def q_streaming_qsketch(sf_dir: str) -> pa.Table:
     windows × ≤1040 buckets, never stream length — and the merged table is
     gated bucket-for-bucket against the SQL bit-arithmetic oracle; any
     quantile reads off it with ≤6.25% relative value error."""
-    partials = _run_streaming(sf_dir).sink.read_op("tumbling_qsketch").to_pandas()
-    merged = (
-        partials.groupby(["window_id", "bucket"], as_index=False)["n"].sum()
-        .sort_values(["window_id", "bucket"])
-        .reset_index(drop=True)
-    )
-    return pa.Table.from_pandas(merged, preserve_index=False)
+    return pa.Table.from_pandas(_merged(sf_dir, "tumbling_qsketch"), preserve_index=False)
 
 
 def q_range_join(sf_dir: str) -> rd.Dataset:

@@ -15,8 +15,15 @@ Closure rule: because ``ts`` is monotonically non-decreasing per conversation
 (the feed contract, ≙ per-table `(lsn, seqval)` order in the reference,
 /root/reference/docs/plugins/mssql-ingester.md:70-71), a window of a
 conversation closes exactly when that conversation produces a row beyond it.
-State per partition is therefore just the raw rows of still-open windows
-("residual") plus tiny per-conv counters — a file-backed RocksDB-style store.
+A conv-keyed operator's state per partition is therefore the raw rows of its
+still-open windows ("residual") plus tiny per-conv counters — a file-backed
+RocksDB-style store. The GLOBAL (cross-conversation) operators carry
+mergeable per-window partials instead.
+
+The tumbling family runs on two drivers that own its shared steps:
+:func:`_keyed_tumbling` (``tumbling``, ``tumbling_distinct``,
+``tumbling_quantile``) and :func:`_global_tumbling` (the six operators of
+:data:`GLOBAL_OPS`, each one partial + merge rule).
 
 Performance: conv keys are Arrow-dictionary-encoded (C-speed hashing); the
 hot path is numpy over integer codes — no Python-object string arrays.
@@ -26,6 +33,7 @@ Per-conv dict state is touched only once per distinct conv (not per row).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -36,7 +44,7 @@ import pyarrow.compute as pc
 # cloudpickle-by-value); a function-level import would re-resolve on the
 # WORKER, where the repo is not on sys.path
 from dstream_ray.common import fmix64, fnv1a_u64
-from dstream_ray.stages.sketches import HLL
+from dstream_ray.stages.sketches import hll_idx_rank
 
 US = 1_000_000
 _I64MIN = np.iinfo(np.int64).min
@@ -170,20 +178,124 @@ def _conv_last(values: np.ndarray, cols: Cols) -> np.ndarray:
     return values[cols.ends - 1]
 
 
+def _col(rows: pa.Table, name: str) -> pa.Array:
+    col = rows[name]
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
+def _empty(*names: str, **types: pa.DataType) -> pa.Table:
+    """Typed empty output: ``conv_id`` is a string, every other column an
+    int64 unless ``types`` names its type."""
+    default = {"conv_id": pa.string()}
+    return pa.table(
+        {c: pa.array([], type=types.get(c, default.get(c, pa.int64()))) for c in names}
+    )
+
+
 # ---------------------------------------------------------------------------
 # Tumbling window
 # ---------------------------------------------------------------------------
 
-_TUMBLING_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "window_id": pa.array([], type=pa.int64()),
-        "n_turns": pa.array([], type=pa.int64()),
-        "n_user_turns": pa.array([], type=pa.int64()),
-        "n_tool_turns": pa.array([], type=pa.int64()),
-        "n_chars": pa.array([], type=pa.int64()),
-    }
+_TUMBLING_EMPTY = _empty(
+    "conv_id", "window_id", "n_turns", "n_user_turns", "n_tool_turns", "n_chars"
 )
+
+
+def _runs_table(uniq: pa.Array, run_conv, run_win, emit, values: dict) -> pa.Table:
+    """Output rows ``(conv_id, window_id, *values)`` of the runs ``emit``
+    selects (a mask or ``slice(None)``)."""
+    return pa.table(
+        {
+            "conv_id": pa.DictionaryArray.from_arrays(
+                pa.array(run_conv[emit].astype(np.int32)), uniq
+            ).cast(pa.string()),
+            "window_id": pa.array(run_win[emit]),
+            **{c: pa.array(v[emit]) for c, v in values.items()},
+        }
+    )
+
+
+def _keyed_tumbling(
+    new_rows: pa.Table,
+    state: dict,
+    runs,
+    empty: pa.Table,
+    *,
+    width_s: int,
+    flush: bool,
+    closure: str = "conv",
+    watermark_us: int | None = None,
+) -> tuple[pa.Table, dict]:
+    """The steps every conv-keyed tumbling operator shares.
+
+    ``runs(cols, bucket)`` aggregates the operator's (conv, window) runs in
+    ascending (conv, window) order and returns ``(run_conv, run_bucket,
+    {column: values})``; this driver owns everything else:
+
+    - state is the raw rows of each conv's still-open windows
+      (``residual``), concatenated with the new rows and re-``prep``ped;
+    - closure ``"conv"``: a conv's LAST window stays open. A flush
+      force-closes every open window and advances per-conv cursors
+      (``emitted_below_conv``), so post-flush rows landing in an
+      already-published window are LATE relative to that forced closure —
+      dropped and counted in ``late_drops``, exactly like watermark mode —
+      which is what makes flush NON-terminal (a later run can keep
+      consuming without re-emitting committed window ids);
+    - closure ``"watermark"``: one global ``emitted_below`` cursor; rows
+      behind it are dropped into ``late_drops`` (replay/late protection),
+      and a flush moves it past the highest bucket.
+    """
+    w_us = width_s * US
+    cols = prep(_concat_residual(state.get("residual"), new_rows))
+    if len(cols.codes) == 0:
+        return empty, state
+    bucket = cols.ts // w_us
+    late_drops = int(state.get("late_drops", 0))
+    if closure == "watermark":
+        cursor_key, cursor = "emitted_below", state.get("emitted_below")
+        lo = cursor
+    else:
+        cursor_key, cursor = "emitted_below_conv", dict(state.get("emitted_below_conv", {}))
+        lo = None
+        if cursor:
+            lo = np.array([cursor.get(nm, _I64MIN) for nm in cols.conv_names()])
+            lo = lo[cols.codes]
+    if lo is not None:
+        keep = bucket >= lo
+        if not keep.all():
+            late_drops += int((~keep).sum())
+            cols = prep(_take(cols, keep))
+            if len(cols.codes) == 0:
+                return empty, {"residual": None, cursor_key: cursor, "late_drops": late_drops}
+            bucket = cols.ts // w_us
+    run_conv, run_bucket, values = runs(cols, bucket)
+    if flush:
+        emit = slice(None)
+        residual = None
+        if closure == "watermark":
+            cursor = int(bucket.max()) + 1
+        else:
+            names = cols.conv_names()
+            for s, b_last in zip(cols.starts, _conv_last(bucket, cols)):
+                cursor[names[cols.codes[s]]] = int(b_last) + 1
+    elif closure == "watermark":
+        cursor = int((watermark_us if watermark_us is not None else -1) // w_us)
+        emit = run_bucket < cursor  # a bucket closes when its end <= wm
+        residual = _take(cols, bucket >= cursor)
+    else:
+        conv_last = _conv_last(bucket, cols)
+        last_by_code = np.empty(len(cols.uniq), dtype=np.int64)
+        last_by_code[cols.codes[cols.starts]] = conv_last
+        emit = run_bucket != last_by_code[run_conv]
+        residual = _take(cols, bucket == np.repeat(conv_last, cols.ends - cols.starts))
+    out = _runs_table(cols.uniq, run_conv, run_bucket, emit, values)
+    return out, {"residual": residual, cursor_key: cursor, "late_drops": late_drops}
+
+
+def _tumbling_runs(cols: Cols, bucket: np.ndarray):
+    starts, agg = _group_agg([bucket], cols)
+    counts = _TUMBLING_EMPTY.column_names[2:]
+    return cols.codes[starts], bucket[starts], {c: agg[c] for c in counts}
 
 
 def tumbling_kernel(
@@ -210,128 +322,24 @@ def tumbling_kernel(
     Oracle SQL shape:
     ``GROUP BY conv_id, CAST(floor(epoch(ts)/width) AS BIGINT)``.
     """
-    w_us = width_s * US
-    data = _concat_residual(state.get("residual"), new_rows)
-    cols = prep(data)
-    n = len(cols.codes)
-    if n == 0:
-        return _TUMBLING_EMPTY, state
-    bucket = cols.ts // w_us
-    late_drops = int(state.get("late_drops", 0))
-    emitted_below = state.get("emitted_below")
-    # Per-conv flush cursors (conv closure): a flush force-closes every open
-    # bucket, so post-flush rows landing in an already-published bucket are
-    # LATE relative to that forced closure — dropped and counted, exactly
-    # like watermark mode — which is what makes flush NON-terminal (a later
-    # run can keep consuming without re-emitting committed window ids).
-    emitted_below_conv: dict = dict(state.get("emitted_below_conv", {}))
-    if closure == "conv" and emitted_below_conv:
-        names = cols.conv_names()
-        lo_by_code = np.array(
-            [emitted_below_conv.get(nm, _I64MIN) for nm in names], dtype=np.int64
-        )
-        keep = bucket >= lo_by_code[cols.codes]
-        if not keep.all():
-            late_drops += int((~keep).sum())
-            cols = prep(_take(cols, keep))
-            n = len(cols.codes)
-            if n == 0:
-                return _TUMBLING_EMPTY, {
-                    "residual": None,
-                    "emitted_below_conv": emitted_below_conv,
-                    "late_drops": late_drops,
-                }
-            bucket = cols.ts // w_us
-    if closure == "watermark" and emitted_below is not None:
-        # drop rows behind the emission cursor (replay/late protection)
-        keep = bucket >= emitted_below
-        if not keep.all():
-            late_drops += int((~keep).sum())
-            cols = prep(_take(cols, keep))
-            n = len(cols.codes)
-            if n == 0:
-                return _TUMBLING_EMPTY, {
-                    "residual": None,
-                    "emitted_below": emitted_below,
-                    "late_drops": late_drops,
-                }
-            bucket = cols.ts // w_us
-    starts, agg = _group_agg([bucket], cols)
-    # open bucket per conv = bucket of the conv's last row
-    conv_last_bucket = _conv_last(bucket, cols)
-    open_bucket = np.repeat(conv_last_bucket, cols.ends - cols.starts)
-    if flush:
-        emit_run = np.ones(len(starts), dtype=bool)
-        residual = None
-        if closure == "watermark":
-            return (
-                _tumbling_emit(cols, bucket, starts, agg, emit_run),
-                {
-                    "residual": None,
-                    # everything emitted: the cursor moves past the highest
-                    # bucket (the old code carried the stale pre-flush value)
-                    "emitted_below": int(bucket.max()) + 1,
-                    "late_drops": late_drops,
-                },
-            )
-        names = cols.conv_names()
-        for s, b_last in zip(cols.starts, conv_last_bucket):
-            emitted_below_conv[names[cols.codes[s]]] = int(b_last) + 1
-        return (
-            _tumbling_emit(cols, bucket, starts, agg, emit_run),
-            {
-                "residual": None,
-                "emitted_below_conv": emitted_below_conv,
-                "late_drops": late_drops,
-            },
-        )
-    elif closure == "watermark":
-        wm_bucket = (watermark_us if watermark_us is not None else -1) // w_us
-        row_open = bucket >= wm_bucket  # bucket closes when its end <= wm
-        emit_run = ~row_open[starts]
-        residual = _take(cols, row_open)
-        return (
-            _tumbling_emit(cols, bucket, starts, agg, emit_run),
-            {
-                "residual": residual,
-                "emitted_below": int(wm_bucket),
-                "late_drops": late_drops,
-            },
-        )
-    else:
-        row_open = bucket == open_bucket
-        emit_run = ~row_open[starts]
-        residual = _take(cols, row_open)
-    out = _tumbling_emit(cols, bucket, starts, agg, emit_run)
-    return out, {
-        "residual": residual,
-        "emitted_below_conv": emitted_below_conv,
-        "late_drops": late_drops,
-    }
-
-
-def _tumbling_emit(cols, bucket, starts, agg, emit_run) -> pa.Table:
-    em = starts[emit_run]
-    return pa.table(
-        {
-            "conv_id": cols.conv_strings(em),
-            "window_id": pa.array(bucket[em]),
-            "n_turns": pa.array(agg["n_turns"][emit_run]),
-            "n_user_turns": pa.array(agg["n_user_turns"][emit_run]),
-            "n_tool_turns": pa.array(agg["n_tool_turns"][emit_run]),
-            "n_chars": pa.array(agg["n_chars"][emit_run]),
-        }
+    return _keyed_tumbling(
+        new_rows, state, _tumbling_runs, _TUMBLING_EMPTY, width_s=width_s,
+        flush=flush, closure=closure, watermark_us=watermark_us,
     )
 
 
-_TUMBLING_DISTINCT_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "window_id": pa.array([], type=pa.int64()),
-        "n_turns": pa.array([], type=pa.int64()),
-        "n_distinct": pa.array([], type=pa.int64()),
-    }
-)
+def _value_runs(cols: Cols, bucket: np.ndarray, vals: np.ndarray):
+    """Rows sorted by ``(conv, bucket, vals)``: ``(order, run_change,
+    run_starts)`` of the contiguous (conv, window) runs, ascending in both
+    keys (the same run order as :func:`_group_agg`), ``vals`` ascending
+    inside each run."""
+    order = np.lexsort((vals, bucket, cols.codes))
+    c, b = cols.codes[order], bucket[order]
+    run_change = np.r_[True, (c[1:] != c[:-1]) | (b[1:] != b[:-1])]
+    return order, run_change, np.flatnonzero(run_change)
+
+
+_TUMBLING_DISTINCT_EMPTY = _empty("conv_id", "window_id", "n_turns", "n_distinct")
 
 
 def tumbling_distinct_kernel(
@@ -355,108 +363,35 @@ def tumbling_distinct_kernel(
     value-change flags) — no per-group Python.
 
     ``skip_empty`` ignores ''-valued rows (non-tool turns carry tool='').
-    Closure/flush/late semantics are the conv-closure tumbling rules:
-    a conv's window closes when a later row of that conv arrives; flush
-    force-closes and advances per-conv cursors (non-terminal); post-flush
-    rows behind a published window are dropped as late.
+    Closure/flush/late semantics are the conv-closure tumbling rules
+    (:func:`_keyed_tumbling`).
 
     Oracle SQL shape: ``GROUP BY conv_id, floor(epoch(ts)/width)`` with
     ``count(DISTINCT CASE WHEN tool <> '' THEN tool END)``.
     """
-    w_us = width_s * US
-    data = _concat_residual(state.get("residual"), new_rows)
-    cols = prep(data)
-    n = len(cols.codes)
-    late_drops = int(state.get("late_drops", 0))
-    emitted_below_conv: dict = dict(state.get("emitted_below_conv", {}))
-    if n == 0:
-        return _TUMBLING_DISTINCT_EMPTY, state
-    bucket = cols.ts // w_us
-    if emitted_below_conv:
-        names = cols.conv_names()
-        lo_by_code = np.array(
-            [emitted_below_conv.get(nm, _I64MIN) for nm in names], dtype=np.int64
-        )
-        keep = bucket >= lo_by_code[cols.codes]
-        if not keep.all():
-            late_drops += int((~keep).sum())
-            cols = prep(_take(cols, keep))
-            n = len(cols.codes)
-            if n == 0:
-                return _TUMBLING_DISTINCT_EMPTY, {
-                    "residual": None,
-                    "emitted_below_conv": emitted_below_conv,
-                    "late_drops": late_drops,
-                }
-            bucket = cols.ts // w_us
 
-    vals = cols.origin[value_col]
-    if isinstance(vals, pa.ChunkedArray):
-        vals = vals.combine_chunks()
-    venc = vals.dictionary_encode()
-    vcode = venc.indices.to_numpy(zero_copy_only=False).astype(np.int64)[cols.order]
-    if skip_empty:
-        empty_mask = pc.equal(venc.dictionary, "").to_numpy(zero_copy_only=False)
-        is_counted = ~empty_mask[vcode]
-    else:
-        is_counted = np.ones(n, dtype=bool)
-
-    # per-(conv, bucket) distinct: runs in (conv, bucket) order with values
-    # sorted inside — a value is "new" at its first appearance in the run
-    ord2 = np.lexsort((vcode, bucket, cols.codes))
-    c2, b2, v2 = cols.codes[ord2], bucket[ord2], vcode[ord2]
-    run_change = np.r_[True, (c2[1:] != c2[:-1]) | (b2[1:] != b2[:-1])]
-    val_new = np.r_[True, v2[1:] != v2[:-1]] | run_change
-    contrib = (val_new & is_counted[ord2]).astype(np.int64)
-    run_starts = np.flatnonzero(run_change)
-    n_distinct = np.add.reduceat(contrib, run_starts)
-    n_turns = np.add.reduceat(np.ones(n, dtype=np.int64), run_starts)
-    run_conv = c2[run_starts]
-    run_bucket = b2[run_starts]
-
-    conv_last_bucket = _conv_last(bucket, cols)
-    if flush:
-        emit_run = np.ones(len(run_starts), dtype=bool)
-        residual = None
-        names = cols.conv_names()
-        for s, b_last in zip(cols.starts, conv_last_bucket):
-            emitted_below_conv[names[cols.codes[s]]] = int(b_last) + 1
-    else:
-        # a conv's LAST bucket stays open (same rule/order as _group_agg:
-        # both sorts produce runs in ascending (conv, bucket) order)
-        last_by_code = np.empty(int(cols.codes.max()) + 1, dtype=np.int64)
-        last_by_code[cols.codes[cols.starts]] = conv_last_bucket
-        open_run = run_bucket == last_by_code[run_conv]
-        emit_run = ~open_run
-        row_open = bucket == np.repeat(conv_last_bucket, cols.ends - cols.starts)
-        residual = _take(cols, row_open)
-    em = emit_run
-    out = pa.table(
-        {
-            "conv_id": pa.DictionaryArray.from_arrays(
-                pa.array(run_conv[em].astype(np.int32)), cols.uniq
-            ).cast(pa.string()),
-            "window_id": pa.array(run_bucket[em]),
-            "n_turns": pa.array(n_turns[em]),
-            "n_distinct": pa.array(n_distinct[em]),
+    def runs(cols, bucket):
+        venc = _col(cols.origin, value_col).dictionary_encode()
+        vcode = venc.indices.to_numpy(zero_copy_only=False).astype(np.int64)[cols.order]
+        if skip_empty:
+            empty_mask = pc.equal(venc.dictionary, "").to_numpy(zero_copy_only=False)
+            is_counted = ~empty_mask[vcode]
+        else:
+            is_counted = np.ones(len(vcode), dtype=bool)
+        # a value is "new" at its first appearance in its (conv, window) run
+        order, run_change, run_starts = _value_runs(cols, bucket, vcode)
+        v = vcode[order]
+        val_new = np.r_[True, v[1:] != v[:-1]] | run_change
+        contrib = (val_new & is_counted[order]).astype(np.int64)
+        first = order[run_starts]
+        return cols.codes[first], bucket[first], {
+            "n_turns": np.add.reduceat(np.ones(len(v), dtype=np.int64), run_starts),
+            "n_distinct": np.add.reduceat(contrib, run_starts),
         }
+
+    return _keyed_tumbling(
+        new_rows, state, runs, _TUMBLING_DISTINCT_EMPTY, width_s=width_s, flush=flush
     )
-    return out, {
-        "residual": residual,
-        "emitted_below_conv": emitted_below_conv,
-        "late_drops": late_drops,
-    }
-
-
-def _quantile_empty(qs: tuple[int, ...]) -> pa.Table:
-    cols = {
-        "conv_id": pa.array([], type=pa.string()),
-        "window_id": pa.array([], type=pa.int64()),
-        "n_turns": pa.array([], type=pa.int64()),
-    }
-    for q in qs:
-        cols[f"p{q}_len"] = pa.array([], type=pa.int64())
-    return pa.table(cols)
 
 
 def tumbling_quantile_kernel(
@@ -480,87 +415,46 @@ def tumbling_quantile_kernel(
     requested quantile is a single integer gather at
     ``run_start + ceil(q*n/100) - 1`` — no per-group Python.
     """
-    w_us = width_s * US
     qs = tuple(int(q) for q in qs)
-    data = _concat_residual(state.get("residual"), new_rows)
-    cols = prep(data)
-    n = len(cols.codes)
-    late_drops = int(state.get("late_drops", 0))
-    emitted_below_conv: dict = dict(state.get("emitted_below_conv", {}))
-    if n == 0:
-        return _quantile_empty(qs), state
-    bucket = cols.ts // w_us
-    if emitted_below_conv:
-        names = cols.conv_names()
-        lo_by_code = np.array(
-            [emitted_below_conv.get(nm, _I64MIN) for nm in names], dtype=np.int64
-        )
-        keep = bucket >= lo_by_code[cols.codes]
-        if not keep.all():
-            late_drops += int((~keep).sum())
-            cols = prep(_take(cols, keep))
-            n = len(cols.codes)
-            if n == 0:
-                return _quantile_empty(qs), {
-                    "residual": None,
-                    "emitted_below_conv": emitted_below_conv,
-                    "late_drops": late_drops,
-                }
-            bucket = cols.ts // w_us
 
-    # runs in ascending (conv, bucket) order with lengths ascending inside
-    ord2 = np.lexsort((cols.n_chars, bucket, cols.codes))
-    c2, b2, v2 = cols.codes[ord2], bucket[ord2], cols.n_chars[ord2]
-    run_change = np.r_[True, (c2[1:] != c2[:-1]) | (b2[1:] != b2[:-1])]
-    run_starts = np.flatnonzero(run_change)
-    run_len = np.diff(np.r_[run_starts, n])
-    quants = {q: v2[run_starts + (-(-q * run_len // 100)) - 1] for q in qs}
-    run_conv = c2[run_starts]
-    run_bucket = b2[run_starts]
+    def runs(cols, bucket):
+        order, _, run_starts = _value_runs(cols, bucket, cols.n_chars)
+        v = cols.n_chars[order]
+        run_len = np.diff(np.r_[run_starts, len(v)])
+        first = order[run_starts]
+        return cols.codes[first], bucket[first], {
+            "n_turns": run_len,
+            **{f"p{q}_len": v[run_starts + (-(-q * run_len // 100)) - 1] for q in qs},
+        }
 
-    conv_last_bucket = _conv_last(bucket, cols)
-    if flush:
-        emit_run = np.ones(len(run_starts), dtype=bool)
-        residual = None
-        names = cols.conv_names()
-        for s, b_last in zip(cols.starts, conv_last_bucket):
-            emitted_below_conv[names[cols.codes[s]]] = int(b_last) + 1
-    else:
-        # a conv's LAST bucket stays open (same rule as tumbling_distinct)
-        last_by_code = np.empty(int(cols.codes.max()) + 1, dtype=np.int64)
-        last_by_code[cols.codes[cols.starts]] = conv_last_bucket
-        emit_run = run_bucket != last_by_code[run_conv]
-        row_open = bucket == np.repeat(conv_last_bucket, cols.ends - cols.starts)
-        residual = _take(cols, row_open)
-    em = emit_run
-    out_cols = {
-        "conv_id": pa.DictionaryArray.from_arrays(
-            pa.array(run_conv[em].astype(np.int32)), cols.uniq
-        ).cast(pa.string()),
-        "window_id": pa.array(run_bucket[em]),
-        "n_turns": pa.array(run_len[em]),
-    }
-    for q in qs:
-        out_cols[f"p{q}_len"] = pa.array(quants[q][em])
-    return pa.table(out_cols), {
-        "residual": residual,
-        "emitted_below_conv": emitted_below_conv,
-        "late_drops": late_drops,
-    }
+    empty = _empty("conv_id", "window_id", "n_turns", *(f"p{q}_len" for q in qs))
+    return _keyed_tumbling(new_rows, state, runs, empty, width_s=width_s, flush=flush)
 
 
 # ---------------------------------------------------------------------------
 # Sliding window
 # ---------------------------------------------------------------------------
 
-_SLIDING_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "window_id": pa.array([], type=pa.int64()),
-        "n_turns": pa.array([], type=pa.int64()),
-        "n_chars": pa.array([], type=pa.int64()),
+_SLIDING_EMPTY = _empty("conv_id", "window_id", "n_turns", "n_chars")
+
+
+def _fan_out(cols: Cols, b: np.ndarray, k: int):
+    """Fan each row out to its k windows ``b, b-1, ..., b-k+1`` and
+    aggregate the (conv, window) runs in ascending order: ``(run_conv,
+    run_win, {"n_turns", "n_chars"})``."""
+    n = len(cols.codes)
+    rep_idx = np.repeat(np.arange(n), k)
+    win = b[rep_idx] - np.tile(np.arange(k, dtype=np.int64), n)
+    codes_r = cols.codes[rep_idx]
+    order = np.lexsort((win, codes_r))
+    rep_idx, win, codes_r = rep_idx[order], win[order], codes_r[order]
+    rstarts = np.flatnonzero(
+        np.r_[True, (codes_r[1:] != codes_r[:-1]) | (win[1:] != win[:-1])]
+    )
+    return codes_r[rstarts], win[rstarts], {
+        "n_turns": np.add.reduceat(np.ones(len(win), dtype=np.int64), rstarts),
+        "n_chars": np.add.reduceat(cols.n_chars[rep_idx], rstarts),
     }
-)
 
 
 def sliding_kernel(
@@ -603,22 +497,7 @@ def sliding_kernel(
             cols, b, state, k=k, s_us=s_us, w_us=w_us, flush=flush,
             watermark_us=watermark_us,
         )
-    # fan out each row to its k windows
-    rep_idx = np.repeat(np.arange(n), k)
-    offs = np.tile(np.arange(k, dtype=np.int64), n)
-    win = b[rep_idx] - offs
-    codes_r = cols.codes[rep_idx]
-    order = np.lexsort((win, codes_r))
-    rep_idx, win, codes_r = rep_idx[order], win[order], codes_r[order]
-    change = np.zeros(len(win), dtype=bool)
-    change[0] = True
-    change[1:] = (codes_r[1:] != codes_r[:-1]) | (win[1:] != win[:-1])
-    rstarts = np.flatnonzero(change)
-    ones = np.ones(len(win), dtype=np.int64)
-    n_turns = np.add.reduceat(ones, rstarts)
-    n_chars = np.add.reduceat(cols.n_chars[rep_idx], rstarts)
-    run_codes = codes_r[rstarts]
-    run_win = win[rstarts]
+    run_codes, run_win, counts = _fan_out(cols, b, k)
 
     # per-conv closure thresholds, indexed by code
     names = cols.conv_names()
@@ -640,16 +519,7 @@ def sliding_kernel(
                 else hi_by_code[i]
             )
     emit_run = (run_win < hi_by_code[run_codes]) & (run_win >= lo_by_code[run_codes])
-    out = pa.table(
-        {
-            "conv_id": pa.DictionaryArray.from_arrays(
-                pa.array(run_codes[emit_run].astype(np.int32)), cols.uniq
-            ).cast(pa.string()),
-            "window_id": pa.array(run_win[emit_run]),
-            "n_turns": pa.array(n_turns[emit_run]),
-            "n_chars": pa.array(n_chars[emit_run]),
-        }
-    )
+    out = _runs_table(cols.uniq, run_codes, run_win, emit_run, counts)
     if flush:
         return out, {"residual": None, "emitted_below": emitted_below}
     # residual: rows whose top bucket still touches an open window
@@ -688,24 +558,10 @@ def _sliding_watermark(
                 st["wm_floor"] = wm_floor
             return _SLIDING_EMPTY, st
         b = cols.ts // s_us
-    n = len(cols.codes)
-    rep_idx = np.repeat(np.arange(n), k)
-    offs = np.tile(np.arange(k, dtype=np.int64), n)
-    win = b[rep_idx] - offs
-    codes_r = cols.codes[rep_idx]
-    order = np.lexsort((win, codes_r))
-    rep_idx, win, codes_r = rep_idx[order], win[order], codes_r[order]
-    change = np.zeros(len(win), dtype=bool)
-    change[0] = True
-    change[1:] = (codes_r[1:] != codes_r[:-1]) | (win[1:] != win[:-1])
-    rstarts = np.flatnonzero(change)
-    n_turns = np.add.reduceat(np.ones(len(win), dtype=np.int64), rstarts)
-    n_chars = np.add.reduceat(cols.n_chars[rep_idx], rstarts)
-    run_codes = codes_r[rstarts]
-    run_win = win[rstarts]
+    run_codes, run_win, counts = _fan_out(cols, b, k)
     if flush:
         close_hi = np.iinfo(np.int64).max
-        new_lo = int(win.max()) + 1
+        new_lo = int(run_win.max()) + 1
         residual = None
     else:
         wm = watermark_us if watermark_us is not None else -1
@@ -719,16 +575,7 @@ def _sliding_watermark(
             [wm_floor.get(nm, _I64MIN) for nm in names], dtype=np.int64
         )
         emit_run &= run_win >= floor_by_code[run_codes]
-    out = pa.table(
-        {
-            "conv_id": pa.DictionaryArray.from_arrays(
-                pa.array(run_codes[emit_run].astype(np.int32)), cols.uniq
-            ).cast(pa.string()),
-            "window_id": pa.array(run_win[emit_run]),
-            "n_turns": pa.array(n_turns[emit_run]),
-            "n_chars": pa.array(n_chars[emit_run]),
-        }
-    )
+    out = _runs_table(cols.uniq, run_codes, run_win, emit_run, counts)
     st = {"residual": residual, "wm_below": int(new_lo), "late_drops": late_drops}
     if wm_floor:
         # a floor at/below the advanced global cursor can never bind again
@@ -760,17 +607,9 @@ def _assign_sessions(cols: Cols, gap_us: int) -> np.ndarray:
     return csum - conv_base
 
 
-_SESSION_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "session_id": pa.array([], type=pa.int64()),
-        "n_turns": pa.array([], type=pa.int64()),
-        "n_user_turns": pa.array([], type=pa.int64()),
-        "n_tool_turns": pa.array([], type=pa.int64()),
-        "first_turn_idx": pa.array([], type=pa.int64()),
-        "last_turn_idx": pa.array([], type=pa.int64()),
-        "duration_us": pa.array([], type=pa.int64()),
-    }
+_SESSION_EMPTY = _empty(
+    "conv_id", "session_id", "n_turns", "n_user_turns", "n_tool_turns",
+    "first_turn_idx", "last_turn_idx", "duration_us"
 )
 
 
@@ -827,14 +666,8 @@ def _last_user_turn(cols: Cols, sess: np.ndarray) -> np.ndarray:
     return out
 
 
-_JOIN_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "session_id": pa.array([], type=pa.int64()),
-        "user_turn_idx": pa.array([], type=pa.int64()),
-        "tool_turn_idx": pa.array([], type=pa.int64()),
-        "tool": pa.array([], type=pa.string()),
-    }
+_JOIN_EMPTY = _empty(
+    "conv_id", "session_id", "user_turn_idx", "tool_turn_idx", "tool", tool=pa.string()
 )
 
 
@@ -859,14 +692,7 @@ def session_join_kernel(
     return out["session_join"], new_state
 
 
-_INTERVAL_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "user_turn_idx": pa.array([], type=pa.int64()),
-        "tool_turn_idx": pa.array([], type=pa.int64()),
-        "dt_us": pa.array([], type=pa.int64()),
-    }
-)
+_INTERVAL_EMPTY = _empty("conv_id", "user_turn_idx", "tool_turn_idx", "dt_us")
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_BOOL = np.empty(0, dtype=bool)
@@ -1241,225 +1067,10 @@ def session_with_join_kernel(
 
 
 # ---------------------------------------------------------------------------
-# Global (cross-conversation) tumbling aggregates — per-partition partials
-# ---------------------------------------------------------------------------
-
-_TUMBLING_GLOBAL_EMPTY = pa.table(
-    {
-        "window_id": pa.array([], type=pa.int64()),
-        "n_turns": pa.array([], type=pa.int64()),
-        "n_user_turns": pa.array([], type=pa.int64()),
-        "n_tool_turns": pa.array([], type=pa.int64()),
-        "n_chars": pa.array([], type=pa.int64()),
-    }
-)
-
-
-def tumbling_global_kernel(
-    new_rows: pa.Table,
-    state: dict,
-    *,
-    width_s: int,
-    flush: bool,
-    closure: str = "flush",
-    watermark_us: int | None = None,
-) -> tuple[pa.Table, dict]:
-    """GLOBAL tumbling aggregate (no key): counts per fixed ``width_s``
-    bucket across ALL conversations — the classic two-phase distributed
-    aggregate. Every other window operator here is conv-keyed, so the
-    consistent-hash exchange co-locates each group on one partition; a
-    global group spans every partition, so each partition emits a PARTIAL
-    row per window (mergeable sums) and the consumer adds P partials per
-    window — windows × P rows total, independent of stream length. State is
-    one int64[4] per open window (bounded by time range / width, never by
-    row count).
-
-    Closure: ``"flush"`` (default) holds all partials until the flush epoch
-    — exact on any feed ordering; ``"watermark"`` emits a window's partial
-    once the partition watermark passes its end (exact on globally
-    ts-ordered feeds; rows behind the emission cursor count into
-    ``late_drops`` and are excluded, like the keyed tumbling kernel).
-
-    Oracle SQL shape: ``GROUP BY CAST(floor(epoch(ts)/width) AS BIGINT)``
-    after summing the P partials per window.
-    """
-    w_us = width_s * US
-    win = state.get("win")
-    acc = state.get("agg")
-    if win is None:
-        win = np.empty(0, np.int64)
-        acc = np.zeros((0, 4), np.int64)
-    late_drops = int(state.get("late_drops", 0))
-    emitted_below = state.get("emitted_below")
-
-    n = new_rows.num_rows
-    if n:
-        ts = new_rows["ts_us"].to_numpy(zero_copy_only=False)
-        bucket = ts // w_us
-        if emitted_below is not None:
-            keep = bucket >= emitted_below
-            if not keep.all():
-                late_drops += int((~keep).sum())
-                new_rows = new_rows.filter(pa.array(keep))
-                bucket = bucket[keep]
-                n = new_rows.num_rows
-    if n:
-        role = new_rows["role"]
-        if isinstance(role, pa.ChunkedArray):
-            role = role.combine_chunks()
-        is_user = pc.equal(role, "user").to_numpy(zero_copy_only=False)
-        is_tool = pc.equal(role, "tool").to_numpy(zero_copy_only=False)
-        n_chars = new_rows["n_chars"].to_numpy(zero_copy_only=False)
-        order = np.argsort(bucket, kind="stable")
-        b_s = bucket[order]
-        starts = np.flatnonzero(np.r_[True, b_s[1:] != b_s[:-1]])
-        part = np.column_stack(
-            [
-                np.add.reduceat(np.ones(n, np.int64), starts),
-                np.add.reduceat(is_user[order].astype(np.int64), starts),
-                np.add.reduceat(is_tool[order].astype(np.int64), starts),
-                np.add.reduceat(n_chars[order], starts),
-            ]
-        )
-        b_u = b_s[starts]
-        merged = np.union1d(win, b_u)
-        out_acc = np.zeros((len(merged), 4), np.int64)
-        out_acc[np.searchsorted(merged, win)] += acc
-        out_acc[np.searchsorted(merged, b_u)] += part
-        win, acc = merged, out_acc
-
-    if flush:
-        emit_mask = np.ones(len(win), dtype=bool)
-        next_below = int(win.max()) + 1 if len(win) else emitted_below
-    elif closure == "watermark":
-        wm_bucket = (watermark_us if watermark_us is not None else -1) // w_us
-        emit_mask = win < wm_bucket
-        next_below = int(wm_bucket)
-    else:
-        emit_mask = np.zeros(len(win), dtype=bool)
-        next_below = emitted_below
-
-    out = pa.table(
-        {
-            "window_id": pa.array(win[emit_mask]),
-            "n_turns": pa.array(acc[emit_mask, 0]),
-            "n_user_turns": pa.array(acc[emit_mask, 1]),
-            "n_tool_turns": pa.array(acc[emit_mask, 2]),
-            "n_chars": pa.array(acc[emit_mask, 3]),
-        }
-    ) if emit_mask.any() else _TUMBLING_GLOBAL_EMPTY
-    new_state: dict = {
-        "win": win[~emit_mask],
-        "agg": acc[~emit_mask],
-        "late_drops": late_drops,
-    }
-    if next_below is not None:
-        new_state["emitted_below"] = next_below
-    return out, new_state
-
-
-_TUMBLING_COUNTS_EMPTY = pa.table(
-    {
-        "window_id": pa.array([], type=pa.int64()),
-        "value": pa.array([], type=pa.string()),
-        "n": pa.array([], type=pa.int64()),
-    }
-)
-
-
-def tumbling_counts_kernel(
-    new_rows: pa.Table,
-    state: dict,
-    *,
-    width_s: int,
-    flush: bool,
-    value_col: str = "tool",
-    skip_empty: bool = True,
-    closure: str = "flush",
-    watermark_us: int | None = None,
-) -> tuple[pa.Table, dict]:
-    """GLOBAL windowed value counts — the exact top-k / heavy-hitters
-    feeder: per tumbling window, the count of every distinct ``value_col``
-    value across ALL conversations, emitted as per-partition partials
-    (window_id, value, n). Top-k per window is NOT mergeable from per-
-    partition top-k lists (a value can be k+1-th everywhere yet 1st
-    globally), so the exact scheme ships full per-window value counts —
-    bounded by windows × vocabulary, never by row count — and the consumer
-    sums partials then ranks. State = one pandas groupby frame per
-    partition of the same bound.
-
-    Closure semantics identical to :func:`tumbling_global_kernel`.
-    """
-    w_us = width_s * US
-    cur: pd.DataFrame | None = state.get("counts")
-    late_drops = int(state.get("late_drops", 0))
-    emitted_below = state.get("emitted_below")
-
-    n = new_rows.num_rows
-    if n:
-        ts = new_rows["ts_us"].to_numpy(zero_copy_only=False)
-        bucket = ts // w_us
-        if emitted_below is not None:
-            keep = bucket >= emitted_below
-            if not keep.all():
-                late_drops += int((~keep).sum())
-                new_rows = new_rows.filter(pa.array(keep))
-                bucket = bucket[keep]
-                n = new_rows.num_rows
-    if n:
-        val = new_rows[value_col]
-        if isinstance(val, pa.ChunkedArray):
-            val = val.combine_chunks()
-        df = pd.DataFrame(
-            {"window_id": bucket, "value": val.to_pandas(), "n": np.int64(1)}
-        )
-        if skip_empty:
-            df = df[df["value"] != ""]
-        frames = [cur, df] if cur is not None else [df]
-        cur = (
-            pd.concat(frames, ignore_index=True)
-            .groupby(["window_id", "value"], sort=True, as_index=False)["n"]
-            .sum()
-        )
-    if cur is None:
-        cur = _TUMBLING_COUNTS_EMPTY.to_pandas()
-
-    if flush:
-        emit_mask = np.ones(len(cur), dtype=bool)
-        next_below = (
-            int(cur["window_id"].max()) + 1 if len(cur) else emitted_below
-        )
-    elif closure == "watermark":
-        wm_bucket = (watermark_us if watermark_us is not None else -1) // w_us
-        emit_mask = (cur["window_id"] < wm_bucket).to_numpy()
-        next_below = int(wm_bucket)
-    else:
-        emit_mask = np.zeros(len(cur), dtype=bool)
-        next_below = emitted_below
-
-    out = (
-        pa.Table.from_pandas(cur[emit_mask], preserve_index=False)
-        .cast(_TUMBLING_COUNTS_EMPTY.schema)
-        if emit_mask.any()
-        else _TUMBLING_COUNTS_EMPTY
-    )
-    new_state: dict = {"counts": cur[~emit_mask], "late_drops": late_drops}
-    if next_below is not None:
-        new_state["emitted_below"] = next_below
-    return out, new_state
-
-
-# ---------------------------------------------------------------------------
 # Absence / timeout pattern (CEP negation)
 # ---------------------------------------------------------------------------
 
-_ABSENCE_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "user_turn_idx": pa.array([], type=pa.int64()),
-        "ts_us": pa.array([], type=pa.int64()),
-    }
-)
+_ABSENCE_EMPTY = _empty("conv_id", "user_turn_idx", "ts_us")
 
 
 def absence_kernel(
@@ -1554,14 +1165,7 @@ def absence_kernel(
     return out, {"pend": pend}
 
 
-_OUTER_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "user_turn_idx": pa.array([], type=pa.int64()),
-        "tool_turn_idx": pa.array([], type=pa.int64()),
-        "dt_us": pa.array([], type=pa.int64()),
-    }
-)
+_OUTER_EMPTY = _empty("conv_id", "user_turn_idx", "tool_turn_idx", "dt_us")
 
 
 def outer_join_kernel(
@@ -1698,15 +1302,38 @@ def outer_join_kernel(
     return out, {"pend": pend}
 
 
-_RUNNING_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "turn_idx": pa.array([], type=pa.int64()),
-        "row_number": pa.array([], type=pa.int64()),
-        "dt_prev_us": pa.array([], type=pa.int64()),
-        "cum_chars": pa.array([], type=pa.int64()),
-    }
-)
+def _per_row_carry(new_rows, state, key, default, step, empty):
+    """The steps the per-row carry kernels share: one O(1) ``(a, b, c)``
+    int carry per conv under ``state[key]`` (``default`` for a new conv),
+    gathered for the batch's convs and written back once per conv; every
+    input row emits one output row. ``step(cols, carry, seg_id, pos)`` gets
+    the carried columns (one entry per conv segment), each row's segment and
+    0-based position in it, and returns ``({column: per-row values}, new
+    carry columns)``."""
+    st: dict = dict(state.get(key, {}))
+    if not new_rows.num_rows:
+        return empty, {key: st}
+    cols = prep(new_rows)
+    names = cols.conv_names()
+    seg_names = [names[c] for c in cols.codes[cols.starts]]
+    carry = np.array([st.get(nm, default) for nm in seg_names], dtype=np.int64)
+    seg_len = cols.ends - cols.starts
+    seg_id = np.repeat(np.arange(len(seg_len), dtype=np.int64), seg_len)
+    pos = np.arange(len(cols.codes), dtype=np.int64) - np.repeat(cols.starts, seg_len)
+    values, new_carry = step(cols, carry.T, seg_id, pos)
+    for nm, c in zip(seg_names, np.stack(new_carry, axis=1).tolist()):
+        st[nm] = tuple(c)
+    out = pa.table(
+        {
+            "conv_id": cols.conv_strings(np.arange(len(cols.codes))),
+            "turn_idx": pa.array(cols.turn),
+            **{c: pa.array(v) for c, v in values.items()},
+        }
+    )
+    return out, {key: st}
+
+
+_RUNNING_EMPTY = _empty("conv_id", "turn_idx", "row_number", "dt_prev_us", "cum_chars")
 
 
 def running_kernel(
@@ -1735,62 +1362,29 @@ def running_kernel(
     shifted-``ts`` diff for lags, one ``cumsum`` rebased per segment for the
     running sum; Python touches only the per-conv carry dict (O(#convs)).
     """
-    st: dict = dict(state.get("run", {}))
-    if not new_rows.num_rows:
-        return _RUNNING_EMPTY, {"run": st}
 
-    cols = prep(new_rows)
-    names = cols.conv_names()
-    n = len(cols.codes)
-    starts, ends = cols.starts, cols.ends
-    seg_len = ends - starts
-    seg_names = [names[cols.codes[s]] for s in starts]
-    carry = np.array(
-        [st.get(nm, (0, -1, 0)) for nm in seg_names], dtype=np.int64
-    ).reshape(len(seg_names), 3)
-    base_cnt, base_ts, base_cum = carry[:, 0], carry[:, 1], carry[:, 2]
+    def step(cols, carry, seg_id, pos):
+        base_cnt, base_ts, base_cum = carry
+        starts, seg_len = cols.starts, cols.ends - cols.starts
+        prev_ts = np.empty(len(pos), dtype=np.int64)
+        prev_ts[1:] = cols.ts[:-1]
+        prev_ts[starts] = base_ts
+        cs = np.cumsum(cols.n_chars)
+        cum_chars = cs - np.repeat(cs[starts] - cols.n_chars[starts], seg_len)
+        cum_chars += base_cum[seg_id]
+        last = cols.ends - 1
+        return {
+            "row_number": base_cnt[seg_id] + pos + 1,
+            "dt_prev_us": np.where(prev_ts >= 0, cols.ts - prev_ts, -1),
+            "cum_chars": cum_chars,
+        }, (base_cnt + seg_len, cols.ts[last], cum_chars[last])
 
-    seg_id = np.repeat(np.arange(len(starts), dtype=np.int64), seg_len)
-    pos = np.arange(n, dtype=np.int64) - np.repeat(starts, seg_len)
-    row_number = base_cnt[seg_id] + pos + 1
-
-    prev_ts = np.empty(n, dtype=np.int64)
-    prev_ts[1:] = cols.ts[:-1]
-    prev_ts[starts] = base_ts
-    dt_prev = np.where(prev_ts >= 0, cols.ts - prev_ts, -1)
-
-    cs = np.cumsum(cols.n_chars)
-    cum_chars = cs - np.repeat(cs[starts] - cols.n_chars[starts], seg_len)
-    cum_chars += base_cum[seg_id]
-
-    last = ends - 1
-    for i, nm in enumerate(seg_names):
-        st[nm] = (
-            int(base_cnt[i] + seg_len[i]),
-            int(cols.ts[last[i]]),
-            int(cum_chars[last[i]]),
-        )
-
-    out = pa.table(
-        {
-            "conv_id": cols.conv_strings(np.arange(n)),
-            "turn_idx": pa.array(cols.turn),
-            "row_number": pa.array(row_number),
-            "dt_prev_us": pa.array(dt_prev),
-            "cum_chars": pa.array(cum_chars),
-        }
-    )
-    return out, {"run": st}
+    return _per_row_carry(new_rows, state, "run", (0, -1, 0), step, _RUNNING_EMPTY)
 
 
-_ANOMALY_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "turn_idx": pa.array([], type=pa.int64()),
-        "n_chars": pa.array([], type=pa.int64()),
-        "n_prior": pa.array([], type=pa.int64()),
-        "is_anomaly": pa.array([], type=pa.bool_()),
-    }
+_ANOMALY_EMPTY = _empty(
+    "conv_id", "turn_idx", "n_chars", "n_prior", "is_anomaly",
+    is_anomaly=pa.bool_()
 )
 
 
@@ -1820,65 +1414,30 @@ def anomaly_kernel(
     one exclusive cumsum pair rebased per segment; Python touches only the
     per-conv carry dict. Epoch-split invariant by construction (each row's
     flag depends only on its conv prefix) — property-tested."""
-    st: dict = dict(state.get("anom", {}))
-    if not new_rows.num_rows:
-        return _ANOMALY_EMPTY, {"anom": st}
 
-    cols = prep(new_rows)
-    names = cols.conv_names()
-    n_rows = len(cols.codes)
-    starts, ends = cols.starts, cols.ends
-    seg_len = ends - starts
-    seg_names = [names[cols.codes[s]] for s in starts]
-    carry = np.array(
-        [st.get(nm, (0, 0, 0)) for nm in seg_names], dtype=np.int64
-    ).reshape(len(seg_names), 3)
-    base_n, base_s, base_ss = carry[:, 0], carry[:, 1], carry[:, 2]
-
-    seg_id = np.repeat(np.arange(len(starts), dtype=np.int64), seg_len)
-    pos = np.arange(n_rows, dtype=np.int64) - np.repeat(starts, seg_len)
-    x = cols.n_chars.astype(np.int64)
-    x2 = x * x
-    cs, cs2 = np.cumsum(x), np.cumsum(x2)
-    excl = cs - x
-    excl2 = cs2 - x2
-    n_prior = base_n[seg_id] + pos
-    s_prior = base_s[seg_id] + excl - np.repeat(excl[starts], seg_len)
-    ss_prior = base_ss[seg_id] + excl2 - np.repeat(excl2[starts], seg_len)
-
-    lhs = n_prior * x - s_prior
-    flag = (n_prior >= min_prior) & (
-        lhs * lhs > z * z * (n_prior * ss_prior - s_prior * s_prior)
-    )
-
-    last = ends - 1
-    for i, nm in enumerate(seg_names):
-        st[nm] = (
-            int(base_n[i] + seg_len[i]),
-            int(s_prior[last[i]] + x[last[i]]),
-            int(ss_prior[last[i]] + x2[last[i]]),
+    def step(cols, carry, seg_id, pos):
+        base_n, base_s, base_ss = carry
+        starts, seg_len = cols.starts, cols.ends - cols.starts
+        x = cols.n_chars.astype(np.int64)
+        x2 = x * x
+        excl = np.cumsum(x) - x
+        excl2 = np.cumsum(x2) - x2
+        n_prior = base_n[seg_id] + pos
+        s_prior = base_s[seg_id] + excl - np.repeat(excl[starts], seg_len)
+        ss_prior = base_ss[seg_id] + excl2 - np.repeat(excl2[starts], seg_len)
+        lhs = n_prior * x - s_prior
+        flag = (n_prior >= min_prior) & (
+            lhs * lhs > z * z * (n_prior * ss_prior - s_prior * s_prior)
+        )
+        last = cols.ends - 1
+        return {"n_chars": x, "n_prior": n_prior, "is_anomaly": flag}, (
+            base_n + seg_len, s_prior[last] + x[last], ss_prior[last] + x2[last]
         )
 
-    out = pa.table(
-        {
-            "conv_id": cols.conv_strings(np.arange(n_rows)),
-            "turn_idx": pa.array(cols.turn),
-            "n_chars": pa.array(x),
-            "n_prior": pa.array(n_prior),
-            "is_anomaly": pa.array(flag),
-        }
-    )
-    return out, {"anom": st}
+    return _per_row_carry(new_rows, state, "anom", (0, 0, 0), step, _ANOMALY_EMPTY)
 
 
-_SESSIONIZE_EMPTY = pa.table(
-    {
-        "conv_id": pa.array([], type=pa.string()),
-        "turn_idx": pa.array([], type=pa.int64()),
-        "session_id": pa.array([], type=pa.int64()),
-        "turn_in_session": pa.array([], type=pa.int64()),
-    }
-)
+_SESSIONIZE_EMPTY = _empty("conv_id", "turn_idx", "session_id", "turn_in_session")
 
 
 def sessionize_kernel(
@@ -1906,58 +1465,29 @@ def sessionize_kernel(
     per-conv carry dict).
     """
     G = int(gap_s) * US
-    st: dict = dict(state.get("sess", {}))
-    if not new_rows.num_rows:
-        return _SESSIONIZE_EMPTY, {"sess": st}
 
-    cols = prep(new_rows)
-    names = cols.conv_names()
-    n = len(cols.codes)
-    starts, ends = cols.starts, cols.ends
-    seg_len = ends - starts
-    seg_names = [names[cols.codes[s]] for s in starts]
-    carry = np.array(
-        [st.get(nm, (-1, 0, 0)) for nm in seg_names], dtype=np.int64
-    ).reshape(len(seg_names), 3)
-    base_ts, base_sess, base_turns = carry[:, 0], carry[:, 1], carry[:, 2]
-
-    seg_id = np.repeat(np.arange(len(starts), dtype=np.int64), seg_len)
-    prev_ts = np.empty(n, dtype=np.int64)
-    prev_ts[1:] = cols.ts[:-1]
-    prev_ts[starts] = base_ts
-    is_new = (prev_ts < 0) | (cols.ts - prev_ts > G)
-
-    cs = np.cumsum(is_new.astype(np.int64))
-    sess_in_seg = cs - np.repeat(cs[starts] - is_new[starts], seg_len)
-    session_id = base_sess[seg_id] + sess_in_seg
-
-    idx = np.arange(n, dtype=np.int64)
-    last_start = np.maximum.accumulate(np.where(is_new, idx, -1))
-    seg_start = np.repeat(starts, seg_len)
-    in_carried = last_start < seg_start  # still inside the carried session
-    turn_in_session = np.where(
-        in_carried,
-        base_turns[seg_id] + (idx - seg_start) + 1,
-        idx - last_start + 1,
-    )
-
-    for i, nm in enumerate(seg_names):
-        e = ends[i] - 1
-        st[nm] = (
-            int(cols.ts[e]),
-            int(session_id[e]),
-            int(turn_in_session[e]),
+    def step(cols, carry, seg_id, pos):
+        base_ts, base_sess, base_turns = carry
+        starts, seg_len = cols.starts, cols.ends - cols.starts
+        prev_ts = np.empty(len(pos), dtype=np.int64)
+        prev_ts[1:] = cols.ts[:-1]
+        prev_ts[starts] = base_ts
+        is_new = (prev_ts < 0) | (cols.ts - prev_ts > G)
+        cs = np.cumsum(is_new.astype(np.int64))
+        sess_in_seg = cs - np.repeat(cs[starts] - is_new[starts], seg_len)
+        session_id = base_sess[seg_id] + sess_in_seg
+        idx = np.arange(len(pos), dtype=np.int64)
+        last_start = np.maximum.accumulate(np.where(is_new, idx, -1))
+        in_carried = last_start < idx - pos  # still inside the carried session
+        turn_in_session = np.where(
+            in_carried, base_turns[seg_id] + pos + 1, idx - last_start + 1
+        )
+        last = cols.ends - 1
+        return {"session_id": session_id, "turn_in_session": turn_in_session}, (
+            cols.ts[last], session_id[last], turn_in_session[last]
         )
 
-    out = pa.table(
-        {
-            "conv_id": cols.conv_strings(idx),
-            "turn_idx": pa.array(cols.turn),
-            "session_id": pa.array(session_id),
-            "turn_in_session": pa.array(turn_in_session),
-        }
-    )
-    return out, {"sess": st}
+    return _per_row_carry(new_rows, state, "sess", (-1, 0, 0), step, _SESSIONIZE_EMPTY)
 
 
 def qsketch_bucket(x: np.ndarray) -> np.ndarray:
@@ -1988,81 +1518,6 @@ def qsketch_bucket(x: np.ndarray) -> np.ndarray:
     return out
 
 
-_QSKETCH_EMPTY = pa.table(
-    {
-        "window_id": pa.array([], type=pa.int64()),
-        "bucket": pa.array([], type=pa.int64()),
-        "n": pa.array([], type=pa.int64()),
-    }
-)
-
-
-def tumbling_qsketch_kernel(
-    new_rows: pa.Table,
-    state: dict,
-    *,
-    width_s: int,
-    flush: bool = False,
-) -> tuple[pa.Table, dict]:
-    """GLOBAL windowed approximate-quantile sketch: a mergeable log-bucket
-    histogram of turn length per tumbling window (the DDSketch idea with
-    integer-exact bucketing — see :func:`qsketch_bucket`). Each partition
-    keeps one sparse bucket-count dict per open window and emits
-    ``(window_id, bucket, n)`` partials at flush; partitions merge by
-    summing counts, so any quantile of the whole stream reads from a
-    windows × ≤1040-bucket table with ≤ 6.25% relative value error —
-    completing the mergeable-sketch trio (HLL distinct, count-min
-    frequency, log-histogram quantiles). State is O(buckets) per open
-    window, independent of stream length; counts are a pure sum-fold, so
-    any epoch split / partition layout merges identically. The SQL oracle
-    recomputes every bucket count exactly (bit arithmetic on both sides).
-    """
-    W = int(width_s) * US
-    acc: dict = {k: v.copy() for k, v in state.get("qs", {}).items()}
-    if new_rows.num_rows:
-        cols = prep(new_rows)
-        win = cols.ts // W
-        bucket = qsketch_bucket(np.maximum(cols.n_chars, 0))
-        # one lexsort pass -> run-length counts per (window, bucket)
-        order = np.lexsort((bucket, win))
-        w_s, b_s = win[order], bucket[order]
-        runs = np.flatnonzero(
-            np.r_[True, (w_s[1:] != w_s[:-1]) | (b_s[1:] != b_s[:-1])]
-        )
-        counts = np.diff(np.r_[runs, len(w_s)])
-        # dense per-window accumulator: bucket ids are < 16*63+16 = 1024
-        # slots + the 16 small-value slots -> 1040 int64 = 8 KiB per window
-        for w in np.unique(w_s[runs]):
-            sel = w_s[runs] == w
-            prev = acc.get(int(w))
-            arr = np.zeros(1040, dtype=np.int64) if prev is None else prev.copy()
-            np.add.at(arr, b_s[runs][sel], counts[sel])
-            acc[int(w)] = arr
-
-    if not flush:
-        return _QSKETCH_EMPTY, {"qs": acc}
-
-    em_w: list = []
-    em_b: list = []
-    em_n: list = []
-    for w in sorted(acc):
-        arr = acc[w]
-        nz = np.flatnonzero(arr)
-        em_w.append(np.full(len(nz), w, dtype=np.int64))
-        em_b.append(nz.astype(np.int64))
-        em_n.append(arr[nz])
-    if not em_w:
-        return _QSKETCH_EMPTY, {}
-    out = pa.table(
-        {
-            "window_id": pa.array(np.concatenate(em_w)),
-            "bucket": pa.array(np.concatenate(em_b)),
-            "n": pa.array(np.concatenate(em_n)),
-        }
-    )
-    return out, {}
-
-
 def qsketch_quantile(bucket: np.ndarray, n: np.ndarray, q: float) -> float:
     """Read an approximate q-quantile (0..1) from a merged bucket table:
     the mid-bucket representative of the bucket where the cumulative count
@@ -2081,13 +1536,266 @@ def qsketch_quantile(bucket: np.ndarray, n: np.ndarray, q: float) -> float:
     return float(lo + width // 2)  # mid-bucket (width 1 == exact value)
 
 
-_HLL_EMPTY = pa.table(
-    {
-        "window_id": pa.array([], type=pa.int64()),
-        "bucket": pa.array([], type=pa.int64()),
-        "rank": pa.array([], type=pa.int64()),
-    }
+# ---------------------------------------------------------------------------
+# Global (cross-conversation) tumbling aggregates — per-partition partials
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GlobalWindowOp:
+    """How one global tumbling operator builds and merges its partials.
+
+    - ``partial(rows, window_ids, **params)``: a DataFrame of partial rows
+      in the operator's emitted schema;
+    - ``combine(frames)``: merge a list of partials (one per state,
+      partition or epoch) into one, in ascending key order — the ONE merge
+      rule that the kernel's fold, ``state/rescale`` and the consumer
+      queries all call;
+    - ``trim(df, bound)``: restore the per-window state bound (``k`` /
+      ``capacity``) after a combine;
+    - ``cursor``: False for the flush-only operators, which keep no
+      ``emitted_below`` cursor and no ``late_drops``.
+    """
+
+    partial: Callable[..., pd.DataFrame]
+    combine: Callable[[list[pd.DataFrame]], pd.DataFrame]
+    trim: Callable[[pd.DataFrame, int], pd.DataFrame] | None = None
+    cursor: bool = True
+
+
+_GLOBAL_STATE_KEYS = {"partials", "emitted_below", "late_drops"}
+
+
+def check_global_state(op: str, state: dict) -> None:
+    """Refuse a global operator's state in any other layout: without a
+    checkpoint format version, reading it as empty would silently drop
+    every open window's partials."""
+    unexpected = set(state) - _GLOBAL_STATE_KEYS
+    if unexpected:
+        raise ValueError(
+            f"operator '{op}' state has unexpected keys {sorted(unexpected)} "
+            f"(expected a subset of {sorted(_GLOBAL_STATE_KEYS)}): it was "
+            "written in an older state layout and cannot be resumed"
+        )
+
+
+def _global_tumbling(
+    op: str,
+    new_rows: pa.Table,
+    state: dict,
+    empty: pa.Table,
+    *,
+    width_s: int,
+    flush: bool,
+    closure: str = "flush",
+    watermark_us: int | None = None,
+    bound: int | None = None,
+    **params,
+) -> tuple[pa.Table, dict]:
+    """The steps every GLOBAL (cross-conversation) tumbling operator shares.
+
+    Every other window operator is conv-keyed, so the consistent-hash
+    exchange co-locates each group on one partition; a global group spans
+    every partition, so each partition keeps and emits PARTIALS that its
+    :class:`GlobalWindowOp` ``combine`` merges, as the consumer merges a
+    window's P partials. State is ``{"partials", "emitted_below",
+    "late_drops"}``, bounded by open windows × the per-window bound.
+
+    Each call drops new rows behind ``emitted_below`` into ``late_drops``,
+    folds their partial into the state's with ``combine``, restores the
+    bound with ``trim`` (also after a rescale merge) and closes windows.
+    ``"flush"`` (default) holds every partial until the flush epoch — exact
+    on any feed ordering; ``"watermark"`` emits a window's partials once
+    the partition watermark passes its end — exact on globally ts-ordered
+    feeds, like the keyed tumbling kernel. A flush emits every window and
+    moves the cursor past the highest one.
+    """
+    spec = GLOBAL_OPS[op]
+    check_global_state(op, state)
+    w_us = width_s * US
+    late_drops = int(state.get("late_drops", 0))
+    emitted_below = state.get("emitted_below")
+    cur = state.get("partials")  # already combined
+    if new_rows.num_rows:
+        win = new_rows["ts_us"].to_numpy(zero_copy_only=False) // w_us
+        if emitted_below is not None:
+            keep = win >= emitted_below
+            if not keep.all():
+                late_drops += int((~keep).sum())
+                new_rows, win = new_rows.filter(pa.array(keep)), win[keep]
+        if new_rows.num_rows:
+            part = spec.partial(new_rows, win, **params)
+            cur = spec.combine([cur, part] if cur is not None and len(cur) else [part])
+    if cur is None:
+        cur = empty.to_pandas()
+    if spec.trim is not None and len(cur):
+        cur = spec.trim(cur, bound)
+
+    win = cur["window_id"].to_numpy()
+    if flush:
+        emit = np.ones(len(cur), dtype=bool)
+        next_below = int(win.max()) + 1 if len(cur) else emitted_below
+    elif closure == "watermark":
+        next_below = int((watermark_us if watermark_us is not None else -1) // w_us)
+        emit = win < next_below
+    else:
+        emit = np.zeros(len(cur), dtype=bool)
+        next_below = emitted_below
+    out = (
+        pa.Table.from_pandas(cur[emit], preserve_index=False).cast(empty.schema)
+        if emit.any()
+        else empty
+    )
+    if not spec.cursor:  # flush-only: nothing survives a flush
+        return out, {} if flush else {"partials": cur}
+    new_state = {"partials": cur[~emit], "late_drops": late_drops}
+    if next_below is not None:
+        new_state["emitted_below"] = next_below
+    return out, new_state
+
+
+def _fold_by(how: str, *keys: str):
+    """Combine by folding every other column per key with ``how`` (sum /
+    max)."""
+    return lambda frames: getattr(
+        pd.concat(frames, ignore_index=True).groupby(list(keys), as_index=False), how
+    )()
+
+
+_TUMBLING_GLOBAL_EMPTY = _empty(
+    "window_id", "n_turns", "n_user_turns", "n_tool_turns", "n_chars"
 )
+
+
+def _global_partial(rows: pa.Table, win: np.ndarray) -> pd.DataFrame:
+    is_user, is_tool = (
+        pc.equal(_col(rows, "role"), r).to_numpy(zero_copy_only=False).astype(np.int64)
+        for r in ("user", "tool")
+    )
+    return pd.DataFrame(
+        {
+            "window_id": win,
+            "n_turns": np.ones(len(win), dtype=np.int64),
+            "n_user_turns": is_user,
+            "n_tool_turns": is_tool,
+            "n_chars": rows["n_chars"].to_numpy(zero_copy_only=False),
+        }
+    )
+
+
+def tumbling_global_kernel(
+    new_rows: pa.Table,
+    state: dict,
+    *,
+    width_s: int,
+    flush: bool,
+    closure: str = "flush",
+    watermark_us: int | None = None,
+) -> tuple[pa.Table, dict]:
+    """GLOBAL tumbling aggregate (no key): counts per fixed ``width_s``
+    bucket across ALL conversations — the classic two-phase distributed
+    aggregate. Each partition emits a PARTIAL row per window (mergeable
+    sums) and the consumer adds P partials per window — windows × P rows
+    total, independent of stream length. State is one partial row of four
+    sums per open window (bounded by time range / width, never by row
+    count). Closure as in :func:`_global_tumbling`.
+
+    Oracle SQL shape: ``GROUP BY CAST(floor(epoch(ts)/width) AS BIGINT)``
+    after summing the P partials per window.
+    """
+    return _global_tumbling(
+        "tumbling_global", new_rows, state, _TUMBLING_GLOBAL_EMPTY, width_s=width_s,
+        flush=flush, closure=closure, watermark_us=watermark_us,
+    )
+
+
+_TUMBLING_COUNTS_EMPTY = _empty("window_id", "value", "n", value=pa.string())
+
+
+def _value_partial(
+    rows: pa.Table, win: np.ndarray, value_col: str = "tool", skip_empty: bool = True
+) -> pd.DataFrame:
+    df = pd.DataFrame(
+        {"window_id": win, "value": _col(rows, value_col).to_pandas(), "n": np.int64(1)}
+    )
+    return df[df["value"] != ""] if skip_empty else df
+
+
+def tumbling_counts_kernel(
+    new_rows: pa.Table,
+    state: dict,
+    *,
+    width_s: int,
+    flush: bool,
+    value_col: str = "tool",
+    skip_empty: bool = True,
+    closure: str = "flush",
+    watermark_us: int | None = None,
+) -> tuple[pa.Table, dict]:
+    """GLOBAL windowed value counts — the exact top-k / heavy-hitters
+    feeder: per tumbling window, the count of every distinct ``value_col``
+    value across ALL conversations, emitted as per-partition partials
+    (window_id, value, n). Top-k per window is NOT mergeable from per-
+    partition top-k lists (a value can be k+1-th everywhere yet 1st
+    globally), so the exact scheme ships full per-window value counts —
+    bounded by windows × vocabulary, never by row count — and the consumer
+    sums partials then ranks. State = the partial (window, value, n) rows
+    of the same bound.
+
+    Closure semantics identical to :func:`tumbling_global_kernel`.
+    """
+    return _global_tumbling(
+        "tumbling_counts", new_rows, state, _TUMBLING_COUNTS_EMPTY, width_s=width_s,
+        flush=flush, closure=closure, watermark_us=watermark_us,
+        value_col=value_col, skip_empty=skip_empty,
+    )
+
+
+_QSKETCH_EMPTY = _empty("window_id", "bucket", "n")
+
+
+def _qsketch_partial(rows: pa.Table, win: np.ndarray) -> pd.DataFrame:
+    n_chars = rows["n_chars"].to_numpy(zero_copy_only=False)
+    return pd.DataFrame(
+        {"window_id": win, "bucket": qsketch_bucket(np.maximum(n_chars, 0)), "n": np.int64(1)}
+    )
+
+
+def tumbling_qsketch_kernel(
+    new_rows: pa.Table,
+    state: dict,
+    *,
+    width_s: int,
+    flush: bool = False,
+) -> tuple[pa.Table, dict]:
+    """GLOBAL windowed approximate-quantile sketch: a mergeable log-bucket
+    histogram of turn length per tumbling window (the DDSketch idea with
+    integer-exact bucketing — see :func:`qsketch_bucket`). Each partition
+    keeps the sparse bucket counts of every open window (≤ 1040 buckets
+    each) and emits ``(window_id, bucket, n)`` partials at flush;
+    partitions merge by summing counts, so any quantile of the whole stream
+    reads from a windows × ≤1040-bucket table with ≤ 6.25% relative value
+    error — completing the mergeable-sketch trio (HLL distinct, count-min
+    frequency, log-histogram quantiles). State is O(buckets) per open
+    window, independent of stream length; counts are a pure sum-fold, so
+    any epoch split / partition layout merges identically. The SQL oracle
+    recomputes every bucket count exactly (bit arithmetic on both sides).
+    Flush-only: no emission cursor.
+    """
+    return _global_tumbling(
+        "tumbling_qsketch", new_rows, state, _QSKETCH_EMPTY, width_s=width_s, flush=flush
+    )
+
+
+_HLL_EMPTY = _empty("window_id", "bucket", "rank")
+
+
+def _hll_partial(rows: pa.Table, win: np.ndarray, p: int = 12) -> pd.DataFrame:
+    # hash each distinct conv once, then every row's register update
+    enc = _col(rows, "conv_id").dictionary_encode()
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    bucket, rank = hll_idx_rank(fnv1a_u64(enc.dictionary.cast(pa.string()))[codes], p)
+    return pd.DataFrame({"window_id": win, "bucket": bucket, "rank": rank})
 
 
 def tumbling_hll_kernel(
@@ -2099,16 +1807,16 @@ def tumbling_hll_kernel(
     flush: bool = False,
 ) -> tuple[pa.Table, dict]:
     """GLOBAL windowed approximate distinct-conversation count as a
-    mergeable HyperLogLog sketch: each partition keeps one 2^p-register
-    HLL per tumbling window and, at flush, emits its NONZERO registers as
-    sparse ``(window_id, bucket, rank)`` partial rows. Registers merge
-    across partitions by elementwise MAX (the consumer groupby below is
-    bounded by windows × 2^p rows, never by stream length) — the
+    mergeable HyperLogLog sketch: each partition keeps the 2^p-register
+    HLL of each tumbling window as its NONZERO registers and, at flush,
+    emits them as sparse ``(window_id, bucket, rank)`` partial rows.
+    Registers merge across partitions by elementwise MAX (the consumer
+    merge is bounded by windows × 2^p rows, never by stream length) — the
     streaming/windowed form of the batch `hll_registers` sketch, and the
     approximate companion to `tumbling_distinct` (exact, conv-keyed):
     this one answers "distinct convs per day ACROSS the whole stream" in
     O(2^p) state per partition per window, where the exact answer would
-    need the full conv-id set.
+    need the full conv-id set. Flush-only: no emission cursor.
 
     Determinism: register state is a pure max-fold over the set of
     (window, conv) pairs seen, so any epoch split / partition layout
@@ -2116,66 +1824,56 @@ def tumbling_hll_kernel(
     stages/sketches.HLL exactly (FNV-1a + murmur fmix64), which is what
     the HUGEINT SQL oracle recomputes register-for-register.
     """
-    W = int(width_s) * US
-    regs: dict = dict(state.get("hll", {}))
-    if new_rows.num_rows:
-        cols = prep(new_rows)
-        win = cols.ts // W
-        # hash each distinct conv once per epoch, then fold distinct
-        # (window, conv) pairs into the per-window registers
-        h_by_code = fnv1a_u64(cols.uniq.cast(pa.string()))
-        pairs = np.unique(np.stack([win, cols.codes]), axis=1)
-        for w in np.unique(pairs[0]):
-            hs = h_by_code[pairs[1][pairs[0] == w]].astype(np.uint64)
-            prev = regs.get(int(w))
-            # copy before np.maximum.at: the carried state must stay
-            # immutable (snapshots/actors may still reference it)
-            hll = HLL(p, None if prev is None else prev.copy())
-            hll.add_hashes(hs)
-            regs[int(w)] = hll.registers
-
-    if not flush:
-        return _HLL_EMPTY, {"hll": regs}
-
-    em_w: list = []
-    em_b: list = []
-    em_r: list = []
-    for w in sorted(regs):
-        r = regs[w]
-        nz = np.flatnonzero(r)
-        em_w.append(np.full(len(nz), w, dtype=np.int64))
-        em_b.append(nz.astype(np.int64))
-        em_r.append(r[nz].astype(np.int64))
-    if not em_w:
-        return _HLL_EMPTY, {}
-    out = pa.table(
-        {
-            "window_id": pa.array(np.concatenate(em_w)),
-            "bucket": pa.array(np.concatenate(em_b)),
-            "rank": pa.array(np.concatenate(em_r)),
-        }
+    return _global_tumbling(
+        "tumbling_hll", new_rows, state, _HLL_EMPTY, width_s=width_s, flush=flush, p=p
     )
-    return out, {}
 
 
 # ---------------------------------------------------------------------------
 # Bounded-state GLOBAL windowed sampling + heavy hitters
 # ---------------------------------------------------------------------------
 
-_TUMBLING_SAMPLE_EMPTY = pa.table(
-    {
-        "window_id": pa.array([], type=pa.int64()),
-        "priority": pa.array([], type=pa.uint64()),
-        "conv_id": pa.array([], type=pa.string()),
-        "turn_idx": pa.array([], type=pa.int64()),
-        "ts_us": pa.array([], type=pa.int64()),
-        "n_chars": pa.array([], type=pa.int64()),
-    }
+_TUMBLING_SAMPLE_EMPTY = _empty(
+    "window_id", "priority", "conv_id", "turn_idx", "ts_us", "n_chars",
+    priority=pa.uint64()
 )
 
 _TUMBLING_SAMPLE_BY_EMPTY = _TUMBLING_SAMPLE_EMPTY.append_column(
     "stratum", pa.array([], type=pa.string())
 )
+
+
+def _sample_partial(rows: pa.Table, win: np.ndarray, by: str | None = None) -> pd.DataFrame:
+    conv, turn = _col(rows, "conv_id"), _col(rows, "turn_idx")
+    key = pc.binary_join_element_wise(conv, pc.cast(turn, pa.string()), ":")
+    data = {
+        "window_id": win,
+        "priority": fmix64(fnv1a_u64(key)),
+        "conv_id": conv.to_pandas(),
+        "turn_idx": turn.to_numpy(zero_copy_only=False).astype(np.int64),
+        "ts_us": rows["ts_us"].to_numpy(zero_copy_only=False),
+        "n_chars": rows["n_chars"].to_numpy(zero_copy_only=False),
+    }
+    if by:
+        data["stratum"] = _col(rows, by).cast(pa.string()).to_pandas()
+    return pd.DataFrame(data)
+
+
+def _strata(df: pd.DataFrame) -> list[str]:
+    return ["window_id", "stratum"] if "stratum" in df.columns else ["window_id"]
+
+
+def _priority_order(frames: list[pd.DataFrame]) -> pd.DataFrame:
+    """Bottom-k combine: every candidate, ordered by ``(priority,
+    conv_id, turn_idx)`` within its (window[, stratum])."""
+    df = pd.concat(frames, ignore_index=True)
+    return df.sort_values(
+        [*_strata(df), "priority", "conv_id", "turn_idx"], kind="mergesort", ignore_index=True
+    )
+
+
+def _bottom_k(df: pd.DataFrame, k: int) -> pd.DataFrame:
+    return df[df.groupby(_strata(df)).cumcount() < k].reset_index(drop=True)
 
 
 def tumbling_sample_kernel(
@@ -2217,94 +1915,60 @@ def tumbling_sample_kernel(
     to k × strata per window, so ``by`` columns must be low-cardinality
     (role/tool/lang-class), never content-derived.
     """
-    w_us = width_s * US
-    empty = _TUMBLING_SAMPLE_BY_EMPTY if by else _TUMBLING_SAMPLE_EMPTY
-    group_keys = ["window_id", "stratum"] if by else ["window_id"]
-    cur: pd.DataFrame | None = state.get("samples")
-    late_drops = int(state.get("late_drops", 0))
-    emitted_below = state.get("emitted_below")
-
-    n = new_rows.num_rows
-    if n:
-        ts = new_rows["ts_us"].to_numpy(zero_copy_only=False)
-        bucket = ts // w_us
-        if emitted_below is not None:
-            keep = bucket >= emitted_below
-            if not keep.all():
-                late_drops += int((~keep).sum())
-                new_rows = new_rows.filter(pa.array(keep))
-                bucket = bucket[keep]
-                n = new_rows.num_rows
-    if n:
-        conv = new_rows["conv_id"]
-        if isinstance(conv, pa.ChunkedArray):
-            conv = conv.combine_chunks()
-        turn = new_rows["turn_idx"]
-        if isinstance(turn, pa.ChunkedArray):
-            turn = turn.combine_chunks()
-        key = pc.binary_join_element_wise(conv, pc.cast(turn, pa.string()), ":")
-        pri = fmix64(fnv1a_u64(key))
-        data = {
-            "window_id": bucket,
-            "priority": pri,
-            "conv_id": conv.to_pandas(),
-            "turn_idx": turn.to_numpy(zero_copy_only=False).astype(np.int64),
-            "ts_us": new_rows["ts_us"].to_numpy(zero_copy_only=False),
-            "n_chars": new_rows["n_chars"].to_numpy(zero_copy_only=False),
-        }
-        if by:
-            strat = new_rows[by]
-            if isinstance(strat, pa.ChunkedArray):
-                strat = strat.combine_chunks()
-            data["stratum"] = strat.cast(pa.string()).to_pandas()
-        df = pd.DataFrame(data)
-        frames = [cur, df] if cur is not None else [df]
-        cur = pd.concat(frames, ignore_index=True)
-    if cur is None:
-        cur = empty.to_pandas()
-    if len(cur):
-        # trim unconditionally (not only when rows arrived): a rescale
-        # merge concatenates P partials without knowing k, relying on the
-        # next call to restore the bound before any emission
-        cur = cur.sort_values(
-            [*group_keys, "priority", "conv_id", "turn_idx"],
-            kind="mergesort",
-            ignore_index=True,
-        )
-        cur = cur[cur.groupby(group_keys).cumcount() < k].reset_index(drop=True)
-
-    if flush:
-        emit_mask = np.ones(len(cur), dtype=bool)
-        next_below = int(cur["window_id"].max()) + 1 if len(cur) else emitted_below
-    elif closure == "watermark":
-        wm_bucket = (watermark_us if watermark_us is not None else -1) // w_us
-        emit_mask = (cur["window_id"] < wm_bucket).to_numpy()
-        next_below = int(wm_bucket)
-    else:
-        emit_mask = np.zeros(len(cur), dtype=bool)
-        next_below = emitted_below
-
-    out = (
-        pa.Table.from_pandas(cur[emit_mask], preserve_index=False).cast(
-            empty.schema
-        )
-        if emit_mask.any()
-        else empty
+    return _global_tumbling(
+        "tumbling_sample", new_rows, state,
+        _TUMBLING_SAMPLE_BY_EMPTY if by else _TUMBLING_SAMPLE_EMPTY,
+        width_s=width_s, flush=flush, closure=closure, watermark_us=watermark_us,
+        bound=k, by=by,
     )
-    new_state: dict = {"samples": cur[~emit_mask], "late_drops": late_drops}
-    if next_below is not None:
-        new_state["emitted_below"] = next_below
-    return out, new_state
 
 
-_TUMBLING_TOPK_EMPTY = pa.table(
-    {
-        "window_id": pa.array([], type=pa.int64()),
-        "value": pa.array([], type=pa.string()),
-        "n": pa.array([], type=pa.int64()),
-        "err": pa.array([], type=pa.int64()),
-    }
-)
+_TUMBLING_TOPK_EMPTY = _empty("window_id", "value", "n", "err", value=pa.string())
+
+
+def _mg_rows(real: pd.DataFrame, err: pd.Series) -> pd.DataFrame:
+    """Misra-Gries summary rows, each carrying its window's ``err``, then
+    the err-sentinels (ADVICE r4): a window whose entries were ALL
+    decremented away (every top-(capacity+1) count equal) would otherwise
+    close with zero rows and silently drop its accumulated err —
+    defeating loud err-gates like q_streaming_topk_mg's err.max()==0
+    assert. It keeps one ``(window_id, value="", n=0, err)`` row instead
+    ("" never carries real counts under skip_empty; with skip_empty=False
+    it merges harmlessly — n adds 0 and err is per-window anyway)."""
+    real = real[["window_id", "value", "n"]].assign(
+        err=real["window_id"].map(err).to_numpy(dtype=np.int64)
+    )
+    gone = err[(err > 0) & ~err.index.isin(real["window_id"])]
+    if len(gone):
+        sent = pd.DataFrame(
+            {"window_id": gone.index.to_numpy(dtype=np.int64), "value": "",
+             "n": np.int64(0), "err": gone.to_numpy(dtype=np.int64)}
+        )
+        real = pd.concat([real, sent], ignore_index=True)
+    return real.reset_index(drop=True)
+
+
+def _mg_sum(frames: list[pd.DataFrame]) -> pd.DataFrame:
+    """Misra-Gries merge (Agarwal et al., PODS'12): sum counts per
+    (window, value) and sum the summaries' per-window errs."""
+    err = pd.concat([f.groupby("window_id")["err"].max() for f in frames])
+    df = pd.concat(frames, ignore_index=True)
+    df = df[df["n"] > 0].groupby(["window_id", "value"], as_index=False)["n"].sum()
+    return _mg_rows(df, err.groupby(level=0).sum())
+
+
+def _mg_trim(df: pd.DataFrame, capacity: int) -> pd.DataFrame:
+    """Per over-full window, subtract the (capacity+1)-th largest count
+    from every entry, drop the non-positive ones and add the subtracted
+    total to the window's err."""
+    df = df.sort_values(
+        ["window_id", "n", "value"], ascending=[True, False, True],
+        kind="mergesort", ignore_index=True,
+    )
+    over = df[df.groupby("window_id").cumcount() == capacity].set_index("window_id")["n"]
+    err = df.groupby("window_id")["err"].max().add(over, fill_value=0).astype(np.int64)
+    n = df["n"] - df["window_id"].map(over).fillna(0).astype(np.int64)
+    return _mg_rows(df.assign(n=n)[n > 0], err)
 
 
 def tumbling_topk_kernel(
@@ -2344,115 +2008,28 @@ def tumbling_topk_kernel(
     may depend on batch boundaries; the bounds above always hold) — same
     honesty contract as dedup_bloom's low-fill gate.
     """
-    w_us = width_s * US
-    cur: pd.DataFrame | None = state.get("summary")
-    werr: dict = dict(state.get("werr", {}))
-    late_drops = int(state.get("late_drops", 0))
-    emitted_below = state.get("emitted_below")
-
-    n = new_rows.num_rows
-    if n:
-        ts = new_rows["ts_us"].to_numpy(zero_copy_only=False)
-        bucket = ts // w_us
-        if emitted_below is not None:
-            keep = bucket >= emitted_below
-            if not keep.all():
-                late_drops += int((~keep).sum())
-                new_rows = new_rows.filter(pa.array(keep))
-                bucket = bucket[keep]
-                n = new_rows.num_rows
-    if n:
-        val = new_rows[value_col]
-        if isinstance(val, pa.ChunkedArray):
-            val = val.combine_chunks()
-        df = pd.DataFrame(
-            {"window_id": bucket, "value": val.to_pandas(), "n": np.int64(1)}
-        )
-        if skip_empty:
-            df = df[df["value"] != ""]
-        frames = [cur, df] if cur is not None else [df]
-        cur = (
-            pd.concat(frames, ignore_index=True)
-            .groupby(["window_id", "value"], sort=True, as_index=False)["n"]
-            .sum()
-        )
-    if cur is None:
-        cur = _TUMBLING_TOPK_EMPTY.to_pandas()[["window_id", "value", "n"]]
-    if len(cur):
-        # unconditional MG trim (also restores the bound after a rescale
-        # merge, which concatenates partials without knowing capacity)
-        cur = cur.sort_values(
-            ["window_id", "n", "value"],
-            ascending=[True, False, True],
-            kind="mergesort",
-            ignore_index=True,
-        )
-        rank = cur.groupby("window_id").cumcount()
-        over = cur[rank == capacity]  # the (capacity+1)-th largest per window
-        if len(over):
-            dec = cur["window_id"].map(
-                over.set_index("window_id")["n"]
-            ).fillna(0).astype(np.int64)
-            for w, d in zip(over["window_id"], over["n"]):
-                werr[int(w)] = int(werr.get(int(w), 0)) + int(d)
-            cur = cur.assign(n=cur["n"] - dec)
-            cur = cur[cur["n"] > 0].reset_index(drop=True)
-
-    if flush:
-        emit_mask = np.ones(len(cur), dtype=bool)
-        max_w = int(cur["window_id"].max()) if len(cur) else None
-        if werr:
-            max_w = max(max_w if max_w is not None else -(1 << 62), max(werr))
-        next_below = max_w + 1 if max_w is not None else emitted_below
-    elif closure == "watermark":
-        wm_bucket = (watermark_us if watermark_us is not None else -1) // w_us
-        emit_mask = (cur["window_id"] < wm_bucket).to_numpy()
-        next_below = int(wm_bucket)
-    else:
-        emit_mask = np.zeros(len(cur), dtype=bool)
-        next_below = emitted_below
-
-    emitted = cur[emit_mask]
-    closed = set(emitted["window_id"].astype(int)) if len(emitted) else set()
-    if next_below is not None:
-        closed |= {w for w in werr if w < next_below}
-    # err-sentinel (ADVICE r4): a window whose entries were ALL decremented
-    # away (every top-(capacity+1) count equal) would otherwise close with
-    # zero rows and silently drop its accumulated err — defeating loud
-    # err-gates like q_streaming_topk_mg's err.max()==0 assert. Emit a
-    # (window_id, value="", n=0, err) marker for any closing window with
-    # werr>0 and no surviving summary rows ("" never carries real counts
-    # under skip_empty; with skip_empty=False it merges harmlessly — n
-    # adds 0 and err is per-window anyway).
-    emitted_ws = set(emitted["window_id"].astype(int)) if len(emitted) else set()
-    sentinel_ws = sorted(
-        w for w in closed if int(werr.get(w, 0)) > 0 and w not in emitted_ws
+    return _global_tumbling(
+        "tumbling_topk", new_rows, state, _TUMBLING_TOPK_EMPTY, width_s=width_s,
+        flush=flush, closure=closure, watermark_us=watermark_us, bound=capacity,
+        value_col=value_col, skip_empty=skip_empty,
     )
-    if len(emitted):
-        out = pa.Table.from_pandas(
-            emitted.assign(
-                err=emitted["window_id"].map(
-                    lambda w: int(werr.get(int(w), 0))
-                ).astype(np.int64)
-            ),
-            preserve_index=False,
-        ).cast(_TUMBLING_TOPK_EMPTY.schema)
-    else:
-        out = _TUMBLING_TOPK_EMPTY
-    if sentinel_ws:
-        sent = pa.table({
-            "window_id": pa.array(np.asarray(sentinel_ws, dtype=np.int64)),
-            "value": pa.array([""] * len(sentinel_ws)),
-            "n": pa.array(np.zeros(len(sentinel_ws), dtype=np.int64)),
-            "err": pa.array(np.asarray(
-                [int(werr[w]) for w in sentinel_ws], dtype=np.int64)),
-        }).cast(_TUMBLING_TOPK_EMPTY.schema)
-        out = pa.concat_tables([out, sent]) if out.num_rows else sent
-    new_state: dict = {
-        "summary": cur[~emit_mask],
-        "werr": {w: e for w, e in werr.items() if w not in closed},
-        "late_drops": late_drops,
-    }
-    if next_below is not None:
-        new_state["emitted_below"] = next_below
-    return out, new_state
+
+
+def _topk_partial(rows: pa.Table, win: np.ndarray, **params) -> pd.DataFrame:
+    return _value_partial(rows, win, **params).assign(err=np.int64(0))
+
+
+# name -> merge rule of every global tumbling operator; state/rescale
+# derives its list of global-mergeable operators from this table
+GLOBAL_OPS: dict[str, GlobalWindowOp] = {
+    "tumbling_global": GlobalWindowOp(_global_partial, _fold_by("sum", "window_id")),
+    "tumbling_counts": GlobalWindowOp(_value_partial, _fold_by("sum", "window_id", "value")),
+    "tumbling_qsketch": GlobalWindowOp(
+        _qsketch_partial, _fold_by("sum", "window_id", "bucket"), cursor=False
+    ),
+    "tumbling_hll": GlobalWindowOp(
+        _hll_partial, _fold_by("max", "window_id", "bucket"), cursor=False
+    ),
+    "tumbling_sample": GlobalWindowOp(_sample_partial, _priority_order, _bottom_k),
+    "tumbling_topk": GlobalWindowOp(_topk_partial, _mg_sum, _mg_trim),
+}

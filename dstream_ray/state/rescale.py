@@ -18,11 +18,12 @@ State classes (see the dispatch tables below):
   uses) or Arrow tables with a ``conv_id`` column (filter by that hash).
   A conversation's whole state moves as a unit to its new owner, so the
   kernels can't tell a rescale happened.
-- **global-mergeable** (the cross-partition window partials: sums, value
-  counts, HLL registers, quantile-sketch histograms): partials are
-  mergeable by construction (sum / max), so ALL old partitions' states
-  merge into new partition 0 — the consumer-side merge that already sums
-  or maxes P partials per window makes the assignment irrelevant.
+- **global-mergeable** (``windows.GLOBAL_OPS``: the cross-partition window
+  partials — sums, value counts, HLL registers, quantile-sketch
+  histograms, bottom-k samples, Misra-Gries summaries): ALL old
+  partitions' partials merge into new partition 0 by the operator's own
+  ``combine``, the rule its consumer already applies to P partials per
+  window, so the assignment is irrelevant.
 - **stateless** (enrich): nothing to move.
 - **unrescalable** (the generational Bloom dedup; the banded near-dup
   suppressor): partition-level content state (bloom BITS, MinHash band
@@ -50,10 +51,10 @@ was set.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from dstream_ray.common import partition_ids
+from dstream_ray.stages.windows import GLOBAL_OPS, check_global_state
 
 CONV_KEYED = {
     "relay",
@@ -74,14 +75,7 @@ CONV_KEYED = {
     "dedup",
     "upsert",
 }
-GLOBAL_MERGE = {
-    "tumbling_global",
-    "tumbling_counts",
-    "tumbling_hll",
-    "tumbling_qsketch",
-    "tumbling_sample",
-    "tumbling_topk",
-}
+GLOBAL_MERGE = set(GLOBAL_OPS)
 STATELESS = {"enrich", "scrub", "index"}
 UNRESCALABLE = {"dedup_bloom", "neardup"}
 
@@ -170,90 +164,21 @@ def _split_conv_op(op: str, op_states: list[dict], new_p: int) -> list[dict]:
     return outs
 
 
-def _merge_global_op(base: str, op_states: list[dict]) -> dict:
-    merged: dict = {}
-    if base == "tumbling_hll":
-        regs: dict = {}
-        for s in op_states:
-            for w, r in s.get("hll", {}).items():
-                regs[w] = np.maximum(regs[w], r) if w in regs else r.copy()
-        return {"hll": regs} if regs else {}
-    if base == "tumbling_qsketch":
-        hists: dict = {}
-        for s in op_states:
-            for w, h in s.get("qs", {}).items():
-                hists[w] = (hists[w] + h) if w in hists else h.copy()
-        return {"qs": hists} if hists else {}
-    if base == "tumbling_counts":
-        frames = [s["counts"] for s in op_states if s.get("counts") is not None]
-        merged = {"late_drops": sum(int(s.get("late_drops", 0)) for s in op_states)}
-        if frames:
-            merged["counts"] = (
-                pd.concat(frames, ignore_index=True)
-                .groupby(["window_id", "value"], as_index=False)["n"]
-                .sum()
-            )
+def _merge_global_op(op: str, op_states: list[dict]) -> dict:
+    """Merge P states into one by the operator's own ``combine``; the
+    kernel's next call re-applies any ``trim`` bound (bottom-k ``k``, the
+    Misra-Gries ``capacity``) before it emits."""
+    spec = GLOBAL_OPS[op.split("@")[0]]
+    for s in op_states:
+        check_global_state(op, s)
+    frames = [s["partials"] for s in op_states if len(s.get("partials", ()))]
+    merged = {"partials": spec.combine(frames)} if frames else {}
+    if spec.cursor:
+        merged["late_drops"] = sum(int(s.get("late_drops", 0)) for s in op_states)
         ebs = [s["emitted_below"] for s in op_states if s.get("emitted_below") is not None]
         if ebs:
             merged["emitted_below"] = min(int(e) for e in ebs)
-        return merged
-    if base == "tumbling_sample":
-        # bottom-k is a semilattice: concatenating P partials is a correct
-        # (superset) candidate set; the kernel's unconditional per-call trim
-        # restores the <= k/window bound before any emission, so the merged
-        # sample equals the uninterrupted run's exactly.
-        frames = [s["samples"] for s in op_states if s.get("samples") is not None]
-        merged = {"late_drops": sum(int(s.get("late_drops", 0)) for s in op_states)}
-        if frames:
-            merged["samples"] = pd.concat(frames, ignore_index=True)
-        ebs = [s["emitted_below"] for s in op_states if s.get("emitted_below") is not None]
-        if ebs:
-            merged["emitted_below"] = min(int(e) for e in ebs)
-        return merged
-    if base == "tumbling_topk":
-        # Misra-Gries merge (Agarwal et al., PODS'12): sum counts per
-        # (window, value) and sum the per-window error offsets; the kernel's
-        # unconditional trim re-applies the capacity bound on its next call.
-        frames = [s["summary"] for s in op_states if s.get("summary") is not None]
-        merged = {"late_drops": sum(int(s.get("late_drops", 0)) for s in op_states)}
-        if frames:
-            merged["summary"] = (
-                pd.concat(frames, ignore_index=True)
-                .groupby(["window_id", "value"], as_index=False)["n"]
-                .sum()
-            )
-        werr: dict = {}
-        for s in op_states:
-            for w, e in (s.get("werr") or {}).items():
-                werr[int(w)] = werr.get(int(w), 0) + int(e)
-        if werr:
-            merged["werr"] = werr
-        ebs = [s["emitted_below"] for s in op_states if s.get("emitted_below") is not None]
-        if ebs:
-            merged["emitted_below"] = min(int(e) for e in ebs)
-        return merged
-    if base == "tumbling_global":
-        acc: dict[int, np.ndarray] = {}
-        late = 0
-        ebs = []
-        for s in op_states:
-            win, agg = s.get("win"), s.get("agg")
-            if win is not None and agg is not None:
-                for w, row in zip(win, agg):
-                    w = int(w)
-                    acc[w] = (acc[w] + row) if w in acc else row.copy()
-            late += int(s.get("late_drops", 0))
-            if s.get("emitted_below") is not None:
-                ebs.append(int(s["emitted_below"]))
-        merged = {"late_drops": late}
-        if acc:
-            ws = np.array(sorted(acc), dtype=np.int64)
-            merged["win"] = ws
-            merged["agg"] = np.stack([acc[int(w)] for w in ws])
-        if ebs:
-            merged["emitted_below"] = min(ebs)
-        return merged
-    raise ValueError(f"no global merge rule for '{base}'")
+    return merged
 
 
 def rescale_states(states: list[dict], new_p: int) -> list[dict]:
@@ -276,7 +201,7 @@ def rescale_states(states: list[dict], new_p: int) -> list[dict]:
         if base in STATELESS or not op_states:
             continue
         if base in GLOBAL_MERGE:
-            merged = _merge_global_op(base, op_states)
+            merged = _merge_global_op(op, op_states)
             if merged:
                 new_states[0][op] = merged
             continue

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def test_bench_emits_contract_json():
     env = dict(
@@ -15,15 +17,15 @@ def test_bench_emits_contract_json():
         RAY_GRAFT_BENCH_REPL="2",
         RAY_GRAFT_BENCH_SHARDS="4",
         RAY_GRAFT_BENCH_PARTITIONS="4",
-        PYTHONPATH="/root/repo",
+        PYTHONPATH=REPO,
     )
     out = subprocess.run(
-        [sys.executable, "/root/repo/bench.py"],
+        [sys.executable, os.path.join(REPO, "bench.py")],
         env=env,
         capture_output=True,
         text=True,
         timeout=420,
-        cwd="/root/repo",
+        cwd=REPO,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     line = out.stdout.strip().splitlines()[-1]

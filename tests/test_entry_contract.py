@@ -13,7 +13,7 @@ import duckdb
 import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part",

@@ -6,12 +6,15 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
+from dstream_ray.stages import windows
 from dstream_ray.stages.windows import (
     to_residual_rows,
     tumbling_counts_kernel,
     tumbling_global_kernel,
 )
+from dstream_ray.state.rescale import rescale_states
 
 T0 = 1_700_000_000_000_000
 W_S = 600
@@ -241,3 +244,32 @@ def test_sliding_global_via_panes_engine(ray_session, tmp_path):
         FROM expl GROUP BY 1 ORDER BY 1
     """)
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
+_COUNTS = pd.DataFrame({"window_id": [1], "value": ["a"], "n": [1]})
+_SAMPLES = pd.DataFrame({"window_id": [1], "priority": np.array([7], np.uint64),
+                         "conv_id": ["c0"], "turn_idx": [0], "ts_us": [T0], "n_chars": [3]})
+
+
+@pytest.mark.parametrize("op, old_state, kw", [
+    ("tumbling_global", {"win": np.array([1]), "agg": np.ones((1, 4), np.int64),
+                         "late_drops": 0}, {}),
+    ("tumbling_counts", {"counts": _COUNTS, "late_drops": 0}, {}),
+    ("tumbling_hll", {"hll": {1: np.ones(4096, np.uint8)}}, {}),
+    ("tumbling_qsketch", {"qs": {1: np.ones(1040, np.int64)}}, {}),
+    ("tumbling_sample", {"samples": _SAMPLES, "late_drops": 0}, {"k": 3}),
+    ("tumbling_topk", {"summary": _COUNTS, "werr": {1: 2}, "late_drops": 0},
+     {"capacity": 4}),
+])
+def test_old_layout_state_is_refused(op, old_state, kw):
+    """A global operator's state in the per-operator layout that preceded
+    the shared partials layout is refused loudly, naming the operator and
+    its keys, by the kernel and by rescale — never read as empty."""
+    kernel = getattr(windows, f"{op}_kernel")
+    rows = to_residual_rows(_feed(seed=1, n_convs=2, n_turns=5))
+    old_key = next(k for k in old_state if k != "late_drops")
+    with pytest.raises(ValueError, match=f"'{op}'.*'{old_key}'"):
+        kernel(rows, old_state, width_s=W_S, flush=True, **kw)
+    with pytest.raises(ValueError, match=f"'{op}@x'.*'{old_key}'"):
+        rescale_states([{f"{op}@x": old_state}, {f"{op}@x": old_state}], 3)
+

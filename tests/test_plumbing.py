@@ -16,6 +16,8 @@ from dstream_ray.sinks.registry import create_sink
 from dstream_ray.sources.transcripts import generate_transcripts
 from dstream_ray.state.lease import Lease
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def test_sink_registry():
     import tempfile
@@ -177,7 +179,7 @@ def test_cli_lifecycle_verbs(tmp_path):
             [sys.executable, "-m", "dstream_ray", verb,
              "--feed-dir", str(feed), "--out-dir", out_dir,
              "--partitions", "2", *extra],
-            capture_output=True, text=True, timeout=120, cwd="/root/repo",
+            capture_output=True, text=True, timeout=120, cwd=REPO,
         )
         assert r.returncode == 0, (verb, r.stderr[-800:])
         out = r.stdout[r.stdout.index("{"):]  # indent=1 JSON spans lines

@@ -351,6 +351,10 @@ def test_epoch_split_invariance_global_windows(data):
     from dstream_ray.stages.windows import (
         tumbling_counts_kernel,
         tumbling_global_kernel,
+        tumbling_hll_kernel,
+        tumbling_qsketch_kernel,
+        tumbling_sample_kernel,
+        tumbling_topk_kernel,
     )
 
     tbl, bounds = data
@@ -359,6 +363,13 @@ def test_epoch_split_invariance_global_windows(data):
         (tumbling_global_kernel, {"width_s": WIDTH_S}),
         (tumbling_counts_kernel, {"width_s": WIDTH_S, "value_col": "role",
                                   "skip_empty": False}),
+        (tumbling_hll_kernel, {"width_s": WIDTH_S}),
+        (tumbling_qsketch_kernel, {"width_s": WIDTH_S}),
+        (tumbling_sample_kernel, {"width_s": WIDTH_S, "k": 3}),
+        (tumbling_sample_kernel, {"width_s": WIDTH_S, "k": 2, "by": "role"}),
+        # capacity above the 3-value role vocabulary: the exact regime
+        (tumbling_topk_kernel, {"width_s": WIDTH_S, "capacity": 4,
+                                "value_col": "role", "skip_empty": False}),
     ]:
         single = run_split(kernel, rows, [0, rows.num_rows], **kw)
         multi = run_split(kernel, rows, bounds, **kw)

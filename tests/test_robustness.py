@@ -19,6 +19,8 @@ from dstream_ray.stages.cep import cep_kernel, cep_pattern_kernel
 from dstream_ray.stages.windows import to_residual_rows
 from dstream_ray.state.lease import Lease
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _shift_feed(tbl: pa.Table, turn_offset: int, ts_offset_us: int) -> pa.Table:
     """Same convs, later turns/timestamps — a continuation batch."""
@@ -615,14 +617,14 @@ def test_two_live_relay_daemons_one_job(ray_session, tmp_path):
         corpus[name] = str(p)
     feed = tmp_path / "feed"
     feed.mkdir()
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO)
     relays = [
         subprocess.Popen(
             [_sys.executable, "-m", "dstream_ray.sources.provider",
              "--feed-dir", str(feed), "--fmt", "ndjson",
              "--rows-per-shard", "100", "--shard-prefix", f"prov{name}",
              "--", "cat", corpus[name]],
-            env=env, cwd="/root/repo", stdout=subprocess.DEVNULL,
+            env=env, cwd=REPO, stdout=subprocess.DEVNULL,
         )
         for name in ("A", "B")
     ]
@@ -788,9 +790,8 @@ def test_engine_runs_from_non_repo_cwd_without_pythonpath(tmp_path, feed_kind, s
             "OperationType": "insert"}}) for i in range(30)]
         lines.insert(7, lines[7][:20])  # one malformed line: the scalar path runs too
         (feed / "s-00.ndjson").write_text("\n".join(lines) + "\n")
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = f"""
-import sys; sys.path.insert(0, {repo!r})
+import sys; sys.path.insert(0, {REPO!r})
 import ray
 ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
 import ray.data; ray.data.DataContext.get_current().enable_progress_bars = False

@@ -91,7 +91,7 @@ def test_sample_exact_any_epoch_split():
     for ne in (1, 3, 7):
         out, st = _run_split(tumbling_sample_kernel, res, ne, k=K)
         assert _sample_got(out).equals(ref), f"epochs={ne}"
-        assert len(st["samples"]) == 0  # flush drained everything
+        assert len(st["partials"]) == 0  # flush drained everything
 
 
 def test_sample_partition_merge_is_exact():
@@ -190,8 +190,8 @@ def test_sample_state_bounded():
         _, state = tumbling_sample_kernel(
             res.slice(bounds[i], bounds[i + 1] - bounds[i]), state,
             width_s=W_S, k=K, flush=False)
-        assert len(state["samples"]) <= K * n_windows
-        assert (state["samples"].groupby("window_id").size() <= K).all()
+        assert len(state["partials"]) <= K * n_windows
+        assert (state["partials"].groupby("window_id").size() <= K).all()
 
 
 def test_topk_exact_regime_matches_counts_sql():
@@ -245,8 +245,8 @@ def test_topk_state_bounded_and_partition_merge():
             out, state = tumbling_topk_kernel(
                 sub.slice(bounds[i], bounds[i + 1] - bounds[i]), state,
                 width_s=W_S, capacity=C, flush=(i == 2))
-            assert len(state["summary"]) == 0 or (
-                state["summary"].groupby("window_id").size() <= C).all()
+            assert len(state["partials"]) == 0 or (
+                state["partials"].groupby("window_id").size() <= C).all()
             outs.append(out)
         parts.append(pa.concat_tables(outs))
     g = pa.concat_tables(parts).to_pandas()
@@ -327,8 +327,8 @@ def test_sample_stratified_by_role():
         _, state = tumbling_sample_kernel(
             res.slice(bounds[i], bounds[i + 1] - bounds[i]), state,
             width_s=W_S, k=K, by="role", flush=False)
-        if len(state["samples"]):
-            assert (state["samples"]
+        if len(state["partials"]):
+            assert (state["partials"]
                     .groupby(["window_id", "stratum"]).size() <= K).all()
 
 
@@ -388,7 +388,8 @@ def test_topk_err_sentinel_on_emptied_window():
     assert g.iloc[0]["value"] == "" and g.iloc[0]["n"] == 0
     assert g.iloc[0]["err"] == 1
     assert g.iloc[0]["window_id"] == ts[0] // (W_S * 1_000_000)
-    assert not state["summary"].shape[0] and not state["werr"]
+    # the summary rows and the window's err (its sentinel row) are both gone
+    assert not state["partials"].shape[0]
 
 
 def test_topk_err_sentinel_watermark_closure():
@@ -409,4 +410,4 @@ def test_topk_err_sentinel_watermark_closure():
         closure="watermark", watermark_us=(T0 // w_us + 5) * w_us)
     g = out.to_pandas()
     assert len(g) == 1 and g.iloc[0]["value"] == "" and g.iloc[0]["err"] == 1
-    assert not state["werr"]
+    assert not state["partials"].shape[0]  # err rides the sentinel row

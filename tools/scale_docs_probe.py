@@ -56,7 +56,7 @@ def build_replica(sf_dir: str, out_dir: str, r: int) -> None:
 def main() -> None:
     r = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     sf_dir = sys.argv[2] if len(sys.argv) > 2 else "/root/testdata/sf0.1"
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import ray
 
     if not ray.is_initialized():
