@@ -208,7 +208,7 @@ def poly_hash_spans(
     128-bit effective key (collision-safe grouping at 10^10+ docs; a single
     64-bit polynomial is fine for fingerprints but not for dedup-by-hash at
     that scale). SQL mirror: ``list_reduce(chars, (a,b) -> (a*BASE + b) %
-    (1::HUGEINT << 64))`` (see oracles.py doc_fingerprint).
+    (1::HUGEINT << 64))`` (oracles.py doc_fingerprint_rolling, short docs).
     """
     n = len(starts)
     outs = [np.zeros(n, dtype=np.uint64) for _ in bases]

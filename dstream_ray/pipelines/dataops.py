@@ -27,9 +27,6 @@ from dstream_ray.common import (
 )
 from dstream_ray.pipelines.oracles import (
     DECONTAM_BENCH_MOD,
-    LINE_CHUNK_IDX_CAP,
-    LINE_DEDUP_BROADCAST_MAX,
-    LINE_DEDUP_W,
     MIX_SHARE_X1000,
     MIX_WEIGHTS,
     QUALITY_WEIGHT_MOD,
@@ -44,12 +41,7 @@ from dstream_ray.pipelines.oracles import (
 )
 from dstream_ray.pipelines.queries import _tuned_read
 from dstream_ray.stages import ann, dedup, multimodal, text
-from dstream_ray.stages.sketches import (
-    HLL,
-    cms_cells_batch,
-    hll_merge_partials,
-    hll_partial_batch,
-)
+from dstream_ray.stages.sketches import HLL, hll_partial_batch
 
 register_pickle_by_value()
 
@@ -86,12 +78,6 @@ def q_doc_stats(sf_dir: str):
 def q_langid_markers(sf_dir: str):
     return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         text.LangIdMarkers, batch_format="pyarrow", batch_size=2048, concurrency=_pool()
-    )
-
-
-def q_doc_fingerprint(sf_dir: str):
-    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        text.fingerprint_poly, batch_format="pyarrow"
     )
 
 
@@ -303,232 +289,6 @@ def q_substring_dedup(
     return joined.map_batches(score_joined, batch_format="pyarrow")
 
 
-def q_line_dedup(sf_dir: str, w: int | None = None, mode: str = "auto"):
-    """Line-level dedup with keep-FIRST semantics (C4 / RefinedWeb
-    "repeated line removal"; beyond-reference training-data op). A "line"
-    is a fixed-width NON-OVERLAPPING token chunk
-    (``dedup.chunk_hashes_batch`` — the corpus has no newlines; real
-    newline splitting is the same kernel with a different span function).
-    Unlike ``substring_dedup`` (which SCORES duplicated spans) this
-    REWRITES the corpus: a chunk occurrence survives iff it is the
-    globally FIRST occurrence of its hash in (doc_id, chunk_idx) order.
-    Per doc we emit the retained-chunk count and the 32-bit halves of the
-    kept-hash sum, which pin the rewritten corpus content exactly without
-    re-materializing text.
-
-    Scale shape: pass 1 emits (hash, order-key) chunk rows per batch and
-    ONE hash-keyed groupby takes count + min(order-key); only hashes with
-    count >= 2 enter the first-occurrence map (singletons are trivially
-    kept), so the map is proportional to the DUPLICATED vocabulary, not
-    the corpus. Pass 2 re-derives chunks per batch and scores them: when
-    the map fits (``LINE_DEDUP_BROADCAST_MAX``) it rides to every task
-    via ``ray.put`` and one searchsorted finishes SHUFFLE-FREE; above it
-    the chunk rows hash-join the map (``mode='join'``, pytest-pinned
-    equal). Defaults come from ``oracles.LINE_DEDUP_W`` — the one rule
-    ``ORACLE_SQL['line_dedup']`` shares; non-default ``w`` is not oracle-
-    covered."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Min, Sum
-
-    if w is None:
-        w = LINE_DEDUP_W
-    docs = _read_documents(sf_dir, ["doc_id", "text"])
-    lo_mask = np.uint64(0xFFFFFFFF)
-
-    def chunk_keys(b: pa.Table):
-        h, intra, offs = dedup.chunk_hashes_batch(b["text"], w)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(intra) and (intra[-1] >= LINE_CHUNK_IDX_CAP
-                           or ids.max() >= (1 << 42)):
-            raise ValueError("line_dedup order key out of range "
-                             "(chunk_idx < 2^21, doc_id < 2^42)")
-        doc = np.repeat(ids, np.diff(offs))
-        return h, doc * LINE_CHUNK_IDX_CAP + intra, offs, ids
-
-    def chunk_rows(b: pa.Table) -> pa.Table:
-        h, key, _, _ = chunk_keys(b)
-        return pa.table({"h": pa.array(h.view(np.int64)), "k": pa.array(key)})
-
-    firsts = (docs.map_batches(chunk_rows, batch_format="pyarrow")
-              .groupby("h")
-              .aggregate(Count(alias_name="n"), Min("k", alias_name="kmin"))
-              .map_batches(
-                  lambda b: b.filter(pc.greater_equal(b["n"], 2))
-                             .select(["h", "kmin"]),
-                  batch_format="pyarrow"))
-
-    def finish(doc_ids, n_chunks, n_kept, lo, hi) -> pa.Table:
-        return pa.table({
-            "doc_id": pa.array(np.asarray(doc_ids, dtype=np.int64)),
-            "n_chunks": pa.array(n_chunks.astype(np.int64)),
-            "n_kept": pa.array(n_kept.astype(np.int64)),
-            "kept_lo_sum": pa.array(lo.astype(np.int64)),
-            "kept_hi_sum": pa.array(hi.astype(np.int64)),
-        })
-
-    firsts = firsts.materialize()  # small (duplicated vocabulary); reuse, no re-execute
-    if mode == "auto":
-        mode = "broadcast" if firsts.count() <= LINE_DEDUP_BROADCAST_MAX else "join"
-
-    def _segsum(x: np.ndarray, offs: np.ndarray) -> np.ndarray:
-        cs = np.concatenate([[0], np.cumsum(x)])
-        return (cs[offs[1:]] - cs[offs[:-1]]).astype(np.int64)
-
-    if mode == "broadcast":
-        fp = firsts.to_pandas()  # bounded by the broadcast gate
-        hv = fp["h"].to_numpy().view(np.uint64)
-        order = np.argsort(hv, kind="mergesort")
-        ref = ray.put((hv[order], fp["kmin"].to_numpy()[order]))
-
-        def score(b: pa.Table) -> pa.Table:
-            hs, kmins = ray.get(ref)  # plasma-cached per worker
-            h, key, offs, ids = chunk_keys(b)
-            if len(hs) and len(h):
-                idx = np.searchsorted(hs, h)
-                safe = np.minimum(idx, len(hs) - 1)
-                in_map = hs[safe] == h
-                kept = ~in_map | (kmins[safe] == key)
-            else:
-                kept = np.ones(len(h), dtype=bool)
-            lo = np.where(kept, (h & lo_mask).astype(np.int64), 0)
-            hi = np.where(kept, (h >> np.uint64(32)).astype(np.int64), 0)
-            return finish(ids, np.diff(offs), _segsum(kept, offs),
-                          _segsum(lo, offs), _segsum(hi, offs))
-
-        return docs.map_batches(score, batch_format="pyarrow")
-
-    # LARGE path: chunk rows hash-join the duplicated-hash map (both sides
-    # stay distributed), score per row, one doc-keyed re-aggregate; docs
-    # with zero chunks come back via a shuffle-free totals pass + left join.
-    def scored_rows(b: pa.Table) -> pa.Table:
-        h, key, offs, ids = chunk_keys(b)
-        doc = np.repeat(ids.astype(np.int64), np.diff(offs))
-        return pa.table({
-            "doc_id": pa.array(doc), "h": pa.array(h.view(np.int64)),
-            "k": pa.array(key),
-            "lo": pa.array((h & lo_mask).astype(np.int64)),
-            "hi": pa.array((h >> np.uint64(32)).astype(np.int64)),
-        })
-
-    def totals(b: pa.Table) -> pa.Table:
-        _, _, offs, ids = chunk_keys(b)
-        return pa.table({"doc_id": pa.array(ids.astype(np.int64)),
-                         "n_chunks": pa.array(np.diff(offs).astype(np.int64))})
-
-    n_join = _pool()[1]
-    rows = (docs.map_batches(scored_rows, batch_format="pyarrow")
-            .join(firsts, join_type="left_outer", num_partitions=n_join,
-                  on=("h",)))
-
-    def score_joined(b: pa.Table) -> pa.Table:
-        # int64-exact null handling (a float cast would round above 2^53)
-        kept_arr = pc.fill_null(pc.equal(b["kmin"], b["k"]), True)
-        kept = kept_arr.to_numpy(zero_copy_only=False).astype(bool)
-        return pa.table({
-            "doc_id": b["doc_id"],
-            "one": pa.array(np.ones(len(kept), dtype=np.int64)),
-            "kept": pa.array(kept.astype(np.int64)),
-            "lo": pa.array(np.where(kept, b["lo"].to_numpy(zero_copy_only=False), 0)),
-            "hi": pa.array(np.where(kept, b["hi"].to_numpy(zero_copy_only=False), 0)),
-        })
-
-    agg = (rows.map_batches(score_joined, batch_format="pyarrow")
-           .groupby("doc_id")
-           .aggregate(Sum("kept", alias_name="n_kept"),
-                      Sum("lo", alias_name="kept_lo_sum"),
-                      Sum("hi", alias_name="kept_hi_sum")))
-    joined = (docs.map_batches(totals, batch_format="pyarrow")
-              .join(agg, join_type="left_outer", num_partitions=n_join,
-                    on=("doc_id",)))
-
-    def fill(b: pa.Table) -> pa.Table:
-        def col(name):  # int64-exact null fill (no float round-trip)
-            return (pc.fill_null(pc.cast(b[name], pa.int64()), 0)
-                    .to_numpy(zero_copy_only=False).astype(np.int64))
-        return finish(b["doc_id"].to_numpy(zero_copy_only=False),
-                      b["n_chunks"].to_numpy(zero_copy_only=False).astype(np.int64),
-                      col("n_kept"), col("kept_lo_sum"), col("kept_hi_sum"))
-
-    return joined.map_batches(fill, batch_format="pyarrow")
-
-
-CURRICULUM_SHARDS = 8
-CURRICULUM_BUCKET_W = 4096  # coarse score-bucket width for the rank exchange
-
-
-def q_curriculum_shards(sf_dir: str) -> pd.DataFrame:
-    """Curriculum ordering: an EXACT distributed global rank of every doc
-    by (quality score, doc_id) ascending, exported as a shard assignment
-    shard = rank * CURRICULUM_SHARDS // n (range-sharded curriculum: shard
-    0 = lowest-quality octile ... S-1 = highest) — the ordering step of
-    easy-to-hard training schedules.
-
-    Scale shape (no global sort, no driver row stream): per-batch scores
-    (the shared hashed-weight kernel) histogram into coarse score BUCKETS;
-    one tiny bucket-keyed count aggregate + a driver prefix scan give each
-    bucket its global base rank; then one bucket-keyed exchange ranks each
-    bucket internally (vectorized argsort per bucket — buckets are a
-    bounded-width range partition of the score domain, ~score_range/4096
-    groups, never per-doc groups). Total rows through the wide exchange =
-    n, driver work = O(buckets)."""
-    from ray.data.aggregate import Sum
-
-    docs = _read_documents(sf_dir, ["doc_id", "text"])
-
-    def scored(b: pa.Table) -> pa.Table:
-        _, sc = quality_scores_batch(b["text"])
-        bucket = np.floor_divide(sc, CURRICULUM_BUCKET_W)
-        return pa.table({"doc_id": b["doc_id"], "score": pa.array(sc),
-                         "bucket": pa.array(bucket)})
-
-    sc_ds = docs.map_batches(scored, batch_format="pyarrow").materialize()
-
-    def bucket_counts(b: pa.Table) -> pa.Table:
-        u, c = np.unique(b["bucket"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"bucket": pa.array(u.astype(np.int64)),
-                         "cnt": pa.array(c.astype(np.int64))})
-
-    hist = (sc_ds.map_batches(bucket_counts, batch_format="pyarrow")
-            .groupby("bucket").aggregate(Sum("cnt", alias_name="cnt"))
-            .to_pandas().sort_values("bucket"))  # O(buckets)
-    n = int(hist["cnt"].sum())
-    base = dict(zip(hist["bucket"].astype(int),
-                    np.r_[0, np.cumsum(hist["cnt"].to_numpy(np.int64))][:-1]))
-    base_ref = ray.put(base)
-
-    def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort((g["doc_id"].to_numpy(), g["score"].to_numpy()))
-        g = g.iloc[order]
-        rank = ray.get(base_ref)[int(g["bucket"].iloc[0])] + np.arange(
-            len(g), dtype=np.int64)
-        return pd.DataFrame({
-            "doc_id": g["doc_id"].to_numpy(np.int64),
-            "score": g["score"].to_numpy(np.int64),
-            "rank": rank,
-            "shard": rank * CURRICULUM_SHARDS // n,
-        })
-
-    return (sc_ds.groupby("bucket")
-            .map_groups(rank_bucket, batch_format="pandas")
-            .to_pandas())
-
-
-def quality_scores_batch(texts) -> tuple[np.ndarray, np.ndarray]:
-    """The hashed-weight quality score shared by q_quality_classify and
-    q_curriculum_shards: per-doc (n_tokens, score) in one vectorized
-    hash+cumsum pass; w(t) = (fnv64(t) % QUALITY_WEIGHT_MOD) - 1000."""
-    half = QUALITY_WEIGHT_MOD // 2
-    flat, offs = token_hash_arrays(texts)
-    w = (flat % np.uint64(QUALITY_WEIGHT_MOD)).astype(np.int64) - half
-    n_tok = np.diff(offs).astype(np.int64)
-    sc = np.zeros(len(n_tok), dtype=np.int64)
-    if (n_tok > 0).any():
-        cs = np.concatenate([[0], np.cumsum(w)])
-        sc = cs[offs[1:]] - cs[offs[:-1]]
-    return n_tok, sc
-
-
 def q_quality_classify(sf_dir: str):
     """Model-based quality filtering in the fastText/DCLM-classifier shape
     with a deterministic stand-in for learned weights: token weight
@@ -541,7 +301,13 @@ def q_quality_classify(sf_dir: str):
     half = QUALITY_WEIGHT_MOD // 2
 
     def score(b: pa.Table) -> pa.Table:
-        n_tok, sc = quality_scores_batch(b["text"])
+        flat, offs = token_hash_arrays(b["text"])
+        w = (flat % np.uint64(QUALITY_WEIGHT_MOD)).astype(np.int64) - half
+        n_tok = np.diff(offs).astype(np.int64)
+        sc = np.zeros(len(n_tok), dtype=np.int64)
+        if (n_tok > 0).any():
+            cs = np.concatenate([[0], np.cumsum(w)])
+            sc = cs[offs[1:]] - cs[offs[:-1]]
         ne = n_tok > 0
         avg = np.zeros(len(n_tok), dtype=np.int64)
         avg[ne] = (1000 * (sc[ne] + half * n_tok[ne])) // n_tok[ne] - 1000 * half
@@ -556,46 +322,6 @@ def q_quality_classify(sf_dir: str):
     return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         score, batch_format="pyarrow"
     )
-
-
-def q_domain_filter(sf_dir: str):
-    """Domain/source-level filtering (the C4/RefinedWeb URL-rule shape): a
-    source survives iff its mean doc length (permille integer) is at least
-    the corpus mean; surviving docs pass through unchanged.
-
-    Scale shape: one tiny source-keyed aggregate (source cardinality is
-    small by construction — domains, not docs) plus one scalar corpus
-    aggregate; the surviving-source set broadcasts via ``ray.put`` and the
-    corpus filter is a shuffle-free map_batches membership test."""
-    from ray.data.aggregate import Count, Sum
-
-    docs = _read_documents(sf_dir, ["doc_id", "source", "n_chars"])
-    per_src = (docs.groupby("source")
-               .aggregate(Count(alias_name="n"),
-                          Sum("n_chars", alias_name="tc"))
-               .to_pandas())  # tiny: one row per source
-    tot = per_src["tc"].sum()
-    cnt = per_src["n"].sum()
-    gm = (1000 * int(tot)) // int(cnt) if cnt else 0
-    kept_src = per_src.loc[
-        (1000 * per_src["tc"].astype(np.int64)) // per_src["n"].astype(np.int64) >= gm,
-        "source",
-    ].to_numpy()
-    ref = ray.put(np.sort(kept_src.astype("U")))
-
-    def keep(b: pa.Table) -> pa.Table:
-        kset = ray.get(ref)
-        src = b["source"].to_numpy(zero_copy_only=False).astype("U")
-        idx = np.searchsorted(kset, src)
-        hit = (idx < len(kset)) & (kset[np.minimum(idx, len(kset) - 1)] == src)
-        out = b.filter(pa.array(hit))
-        return pa.table({
-            "doc_id": out["doc_id"],
-            "source": out["source"],
-            "n_chars": out["n_chars"],
-        })
-
-    return docs.map_batches(keep, batch_format="pyarrow")
 
 
 def _pii_decorate(batch: pa.Table) -> pa.Table:
@@ -650,36 +376,6 @@ def q_pii_scrub(sf_dir: str):
         _read_documents(sf_dir, ["doc_id", "text"])
         .map_batches(_pii_decorate, batch_format="pyarrow")
         .map_batches(text.pii_scrub_batch, batch_format="pyarrow")
-    )
-
-
-def q_dedup_exact(sf_dir: str) -> pd.DataFrame:
-    """Exact dedup: survivors = min doc_id per distinct text (+ copy count).
-    Whole-batch vectorized content hash (common.poly_hash_strings — no
-    per-row Python), per-batch partials, ONE groupby on the 128-bit key."""
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        h1, h2 = poly_hash_strings(b["text"], bases=DEDUP_HASH_BASES)
-        df = pd.DataFrame(
-            {
-                "h1": h1.astype(np.int64),
-                "h2": h2.astype(np.int64),
-                "doc_id": b["doc_id"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["h1", "h2"], as_index=False).agg(
-            doc_id=("doc_id", "min"), n_copies=("doc_id", "size")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Min, Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["h1", "h2"])
-        .aggregate(Min("doc_id", alias_name="doc_id"), Sum("n_copies", alias_name="n_copies"))
-        .to_pandas()[["doc_id", "n_copies"]]
     )
 
 
@@ -1169,32 +865,6 @@ def q_knn_bruteforce(sf_dir: str) -> pd.DataFrame:
     return _cosine_knn(sf_dir, _load_queries(sf_dir))
 
 
-def q_knn_classify(sf_dir: str) -> pd.DataFrame:
-    """k-NN classification on top of the exact cosine top-k: each query
-    vector takes the MAJORITY LABEL among its 10 nearest neighbors (ties →
-    smaller label). The neighbor label lookup is a PRUNED parquet read
-    filtered to the ≤ nq×k neighbor ids (never a full-table scan), so the
-    whole classification step after the distributed search is O(nq×k)."""
-    nn = q_knn_bruteforce(sf_dir)  # query_id, neighbor_id, rank
-    import pyarrow.parquet as pq_mod
-
-    ids = sorted(set(int(i) for i in nn["neighbor_id"]))
-    lab = pq_mod.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "label"],
-        filters=[("vec_id", "in", ids)],
-    ).to_pandas()
-    m = nn.merge(lab, left_on="neighbor_id", right_on="vec_id")
-    votes = (m.groupby(["query_id", "label"], as_index=False)
-             .agg(n_votes=("neighbor_id", "size")))
-    win = (votes.sort_values(["query_id", "n_votes", "label"],
-                             ascending=[True, False, True])
-           .groupby("query_id").head(1).reset_index(drop=True))
-    win["label"] = win["label"].astype("int64")
-    win["n_votes"] = win["n_votes"].astype("int64")
-    return win[["query_id", "label", "n_votes"]]
-
-
 def q_knn_lsh(sf_dir: str) -> pd.DataFrame:
     """LSH-bucketed ANN with MULTI-PROBE: each query searches its own bucket
     plus every bucket at Hamming distance 1 (flip one hyperplane sign) —
@@ -1210,51 +880,6 @@ def q_knn_lsh(sf_dir: str) -> pd.DataFrame:
     flips = np.r_[0, 1 << np.arange(lsh.planes.shape[0])]
     probes = lsh.bucket_of(q["vecs"])[:, None] ^ flips[None, :]
     return _cosine_knn(sf_dir, q, lambda M, _ids: lsh.bucket_of(M), probes)
-
-
-def q_embedding_norms(sf_dir: str):
-    def norms(b: pa.Table) -> pa.Table:
-        M = ann._stack(b["embedding"])
-        return pa.table(
-            {
-                "vec_id": b["vec_id"],
-                "norm_x1000": pa.array(
-                    np.floor(1000 * np.linalg.norm(M, axis=1)).astype(np.int64)
-                ),
-            }
-        )
-
-    return _read_embeddings(sf_dir).map_batches(norms, batch_format="pyarrow")
-
-
-def q_centroid_by_label(sf_dir: str) -> pd.DataFrame:
-    """Per-label centroid, exploded to (label, dim, value): per-batch partial
-    sums (the mergeable-sketch pattern), tiny driver merge."""
-    ds = _read_embeddings(sf_dir)
-
-    def partial(b: pa.Table) -> pa.Table:
-        M = ann._stack(b["embedding"])
-        labels = b["label"].to_numpy(zero_copy_only=False)
-        uniq = np.unique(labels)
-        sums = np.stack([M[labels == u].sum(axis=0) for u in uniq])
-        counts = np.array([(labels == u).sum() for u in uniq])
-        return pa.table(
-            {
-                "label": pa.array(uniq.astype(np.int32)),
-                "vsum": pa.array(list(sums), type=pa.list_(pa.float64())),
-                "n": pa.array(counts.astype(np.int64)),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    rows = []
-    for label, g in parts.groupby("label"):
-        total = np.sum(np.stack([np.asarray(v) for v in g["vsum"]]), axis=0)
-        n = g["n"].sum()
-        avg = total / n
-        for d, v in enumerate(avg):
-            rows.append((int(label), d + 1, int(np.floor(1000 * v))))
-    return pd.DataFrame(rows, columns=["label", "dim", "avg_x1000"])
 
 
 # ---------------------------------------------------------------------------
@@ -1282,7 +907,7 @@ def q_multimodal_raw(sf_dir: str) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------------------
-# corpus curation: normalization, deterministic sampling, sequence packing
+# corpus curation: decontaminated curation, mixture sampling, packing
 # ---------------------------------------------------------------------------
 
 
@@ -1290,8 +915,7 @@ def _balanced_sample_by_lang(ds: rd.Dataset) -> pd.DataFrame:
     """Deterministic stratum-balanced downsample of a (doc_id, lang)
     Dataset: tiny per-stratum count aggregate -> broadcast integer
     thresholds -> one fnv1a(doc_id)-gated filter pass (dictionary-coded
-    lang lookup, no RNG state). Shared by q_sample_balanced and
-    q_curation_pipeline so the sampling rule exists exactly once."""
+    lang lookup, no RNG state) — the last stage of q_curation_v2."""
     from ray.data.aggregate import Sum
 
     def count_partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1324,39 +948,6 @@ def _balanced_sample_by_lang(ds: rd.Dataset) -> pd.DataFrame:
         return b.filter(pa.array(gate < lang_thr))
 
     return ds.map_batches(keep, batch_format="pyarrow").to_pandas()
-
-
-def q_text_normalize(sf_dir: str):
-    """Cleaning stage: lowercase + collapse whitespace + trim, all in Arrow
-    compute kernels (C, zero Python per row). Oracle:
-    ``lower(trim(regexp_replace(text,'\\s+',' ','g')))``."""
-    import pyarrow.compute as pc
-
-    def norm(b: pa.Table) -> pa.Table:
-        t = pc.utf8_trim_whitespace(
-            pc.replace_substring_regex(b["text"], r"[ \t\n\x0b\x0c\r]+", " ")
-        )
-        t = pc.utf8_lower(t)
-        return pa.table(
-            {
-                "doc_id": b["doc_id"],
-                "norm_text": t,
-                "n_chars_norm": pc.cast(pc.utf8_length(t), pa.int64()),
-            }
-        )
-
-    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        norm, batch_format="pyarrow"
-    )
-
-
-def q_sample_balanced(sf_dir: str) -> pd.DataFrame:
-    """Deterministic stratum-balanced downsampling: every language stratum
-    is thinned to ~the smallest stratum's size by keeping docs with
-    ``fnv1a(doc_id) % 1e6 < floor(1e6 * min_n / stratum_n)`` — reproducible
-    across runs/nodes (content-hash gate, no RNG state), the standard way a
-    100 TB pipeline balances sources without a shuffle."""
-    return _balanced_sample_by_lang(_read_documents(sf_dir, ["doc_id", "lang"]))
 
 
 def q_len_quantiles(sf_dir: str) -> pd.DataFrame:
@@ -1428,225 +1019,6 @@ def q_top_tokens(sf_dir: str, k: int = 20) -> pd.DataFrame:
     return top.reset_index(drop=True).astype({"cnt": "int64"})
 
 
-def build_inverted_index(sf_dir: str) -> rd.Dataset:
-    """The postings table of an inverted index over the documents corpus:
-    one row per (token, doc_id) with the in-doc term frequency. This IS
-    the index in columnar form — write it partitioned/sorted by token (or
-    a token-hash bucket) and lookups are a pruned scan. Per-batch partials
-    run entirely in Arrow C kernels (split → flatten → hash groupby); a
-    doc lives in exactly one batch, so per-batch (token, doc) rows are
-    globally unique without a dedup pass."""
-    import pyarrow.compute as pc
-
-    def postings_partial(b: pa.Table) -> pa.Table:
-        flat, offs = token_strings_arrays(b["text"])  # no phantom/'' tokens
-        doc = np.repeat(
-            b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-            np.diff(offs))
-        t = pa.table({"token": flat, "doc_id": pa.array(doc)})
-        g = pa.TableGroupBy(t, ["token", "doc_id"]).aggregate([([], "count_all")])
-        doc_ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "token": g["token"],
-            "doc_id": g["doc_id"],
-            "tf": pc.cast(g["count_all"], pa.int64()),
-            "lo": pa.array(doc_ids % (1 << 32)),
-            "hi": pa.array(doc_ids >> 32),
-        })
-
-    return (_read_documents(sf_dir, ["doc_id", "text"])
-            .map_batches(postings_partial, batch_format="pyarrow"))
-
-
-def q_inverted_index(sf_dir: str) -> rd.Dataset:
-    """Inverted-index build, value-checked: per-token document frequency,
-    total term frequency, posting-list extrema, and an order-free exact
-    posting-set check (the 32-bit halves of the doc_id sum — int64-safe at
-    any df since each half sums values < 2^32). ONE vocabulary-bounded
-    groupby over the postings table from :func:`build_inverted_index`;
-    posting LISTS are never materialized per token (hot tokens at corpus
-    scale would be unbounded rows), the postings TABLE is the index."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
-    agg = (build_inverted_index(sf_dir)
-           .groupby("token")
-           .aggregate(Count(alias_name="df"),
-                      Sum("tf", alias_name="tf"),
-                      Min("doc_id", alias_name="min_doc"),
-                      Max("doc_id", alias_name="max_doc"),
-                      Sum("lo", alias_name="posting_lo_sum"),
-                      Sum("hi", alias_name="posting_hi_sum")))
-
-    def tidy(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        cols = ["df", "tf", "min_doc", "max_doc",
-                "posting_lo_sum", "posting_hi_sum"]
-        return pa.table({"token": b["token"],
-                         **{c: pc.cast(b[c], pa.int64()) for c in cols}})
-
-    return agg.map_batches(tidy, batch_format="pyarrow")
-
-
-VOCAB_COVER_PCTS = (50, 90, 99)
-
-
-def q_vocab_coverage(sf_dir: str) -> pd.DataFrame:
-    """Nucleus vocabulary coverage (tokenizer-design metric): the smallest
-    number of token TYPES whose summed counts reach >= 50/90/99% of the
-    total token mass, under the deterministic (count desc, token asc)
-    order. ONE vocabulary-bounded distributed count-agg (the top_tokens
-    partial), then an O(vocab) driver sort + cumulative read-off — the
-    len_quantiles precedent: driver work scales with DISTINCT tokens, not
-    corpus rows. Thresholds compare 100*cumsum >= pct*total in integers
-    (no float mass fractions)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    def tok_partial(b: pa.Table) -> pa.Table:
-        flat, _ = token_strings_arrays(b["text"])  # byte-level; no flakes
-        vc = pc.value_counts(flat)
-        return pa.table({"token": vc.field("values"), "cnt": vc.field("counts")})
-
-    counts = (_read_documents(sf_dir, ["text"])
-              .map_batches(tok_partial, batch_format="pyarrow")
-              .groupby("token").aggregate(Sum("cnt", alias_name="cnt"))
-              .to_pandas())  # vocabulary-bounded
-    counts = counts.sort_values(["cnt", "token"], ascending=[False, True])
-    cnt = counts["cnt"].to_numpy().astype(np.int64)
-    total = int(cnt.sum())
-    cum = np.cumsum(cnt)
-    row = {"total_tokens": total, "vocab_size": len(cnt)}
-    for pct in VOCAB_COVER_PCTS:
-        k = int(np.searchsorted(100 * cum, pct * total)) + 1 if len(cnt) else 0
-        row[f"cover_{pct}"] = k
-    return pd.DataFrame([row]).astype("int64")
-
-
-def q_tfidf_top_terms(
-    sf_dir: str, k: int = 3, broadcast_max_terms: int = 500_000,
-    mode: str = "auto",
-) -> pd.DataFrame:
-    """Per-document top-k terms by an INTEGER-EXACT tf-idf score
-    (``tf * N // df`` — no float log, so the SQL oracle reproduces every
-    score bit-for-bit), ties broken by term.
-
-    Scale shape: two streaming passes, no materialization. Pass 1 computes
-    document frequencies — per-batch distinct-terms-per-doc value counts,
-    then one vocabulary-bounded groupby. Pass 2 re-tokenizes and scores:
-    when the vocabulary fits (``broadcast_max_terms``) the df table rides
-    to every task via ``ray.put`` and the whole pass is SHUFFLE-FREE
-    (docs never span batches, so per-batch top-k is final); above the
-    threshold (``mode="join"``) the (doc, term, tf) pairs hash-join the df
-    table on term, re-exchange on a coarse doc-range key, and take top-k
-    inside each range — both paths pytest-pinned equal."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    docs = _read_documents(sf_dir, ["doc_id", "text"])
-    n_docs = docs.count()
-
-    def df_partial(b: pa.Table) -> pa.Table:
-        flat, offs = token_strings_arrays(b["text"])  # byte-level; no flakes
-        pairs = pd.DataFrame({
-            "doc": np.repeat(np.arange(b.num_rows), np.diff(offs)),
-            "term": flat.to_pandas(),
-        }).drop_duplicates()
-        vc = pairs["term"].value_counts()
-        return pa.table({"term": pa.array(vc.index, type=pa.string()),
-                         "df": pa.array(vc.to_numpy().astype(np.int64))})
-
-    df_ds = (docs.map_batches(df_partial, batch_format="pyarrow")
-             .groupby("term").aggregate(Sum("df", alias_name="df")))
-
-    def tf_pairs(b: pa.Table) -> pd.DataFrame:
-        flat, offs = token_strings_arrays(b["text"])  # byte-level; no flakes
-        doc_ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        pairs = pd.DataFrame({
-            "doc_id": np.repeat(doc_ids, np.diff(offs)),
-            "term": flat.to_pandas(),
-        })
-        return pairs.groupby(["doc_id", "term"], as_index=False).agg(
-            tf=("term", "size"))
-
-    def topk(scored: pd.DataFrame) -> pd.DataFrame:
-        out = (scored.sort_values(["doc_id", "score", "term"],
-                                  ascending=[True, False, True])
-               .groupby("doc_id").head(k).reset_index(drop=True))
-        return out[["doc_id", "term", "tf", "df", "score"]]
-
-    df_ds = df_ds.materialize()  # vocabulary-bounded; reuse, no re-execute
-    if mode == "auto":
-        mode = "broadcast" if df_ds.count() <= broadcast_max_terms else "join"
-
-    if mode == "broadcast":
-        df_pd = df_ds.to_pandas()  # vocabulary-bounded
-        df_ref = ray.put(df_pd.set_index("term")["df"])
-
-        def score_batch(b: pa.Table) -> pa.Table:
-            dfs = ray.get(df_ref)
-            pairs = tf_pairs(b)
-            pairs["df"] = pairs["term"].map(dfs).astype(np.int64)
-            pairs["score"] = pairs["tf"].to_numpy() * n_docs // pairs["df"].to_numpy()
-            return pa.Table.from_pandas(topk(pairs), preserve_index=False)
-
-        out = (docs.map_batches(score_batch, batch_format="pyarrow")
-               .to_pandas())
-    else:
-        pairs_ds = docs.map_batches(
-            lambda b: pa.Table.from_pandas(tf_pairs(b), preserve_index=False),
-            batch_format="pyarrow")
-        joined = pairs_ds.join(df_ds, join_type="inner", num_partitions=8,
-                               on=("term",))
-
-        def add_range(b: pa.Table) -> pa.Table:
-            did = b["doc_id"].to_numpy(zero_copy_only=False)
-            return b.append_column(
-                "doc_range", pa.array((did // 1024).astype(np.int64)))
-
-        def range_topk(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.copy()
-            g["score"] = g["tf"].to_numpy() * n_docs // g["df"].to_numpy()
-            return topk(g)
-
-        out = (joined.map_batches(add_range, batch_format="pyarrow")
-               .groupby("doc_range")
-               .map_groups(range_topk, batch_format="pandas")
-               .to_pandas())
-    return (out.sort_values(["doc_id", "score", "term"],
-                            ascending=[True, False, True])
-            .reset_index(drop=True).astype({"tf": "int64", "df": "int64",
-                                            "score": "int64"}))
-
-
-def q_cms_tokens(sf_dir: str) -> pd.DataFrame:
-    """Count-min sketch of the corpus token-frequency distribution — the
-    mergeable frequency sketch next to HLL's distinct sketch: per-batch
-    nonzero-cell partials (`stages.sketches.cms_cells_batch`, vectorized
-    double hashing over the dedup family's FNV + polynomial kernels), one
-    cell-bounded groupby (≤ depth×width = 4096 groups regardless of corpus
-    size). Output = the sketch itself, so the oracle recomputes every cell
-    exactly in HUGEINT (library-only slot; estimate error bounds are
-    pytest-gated in test_sketches)."""
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        cells, counts = cms_cells_batch(b["text"])
-        return pa.table({"cell": cells, "cnt": counts})
-
-    out = (
-        _read_documents(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("cell")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
-    return (
-        out.astype({"cell": "int64", "cnt": "int64"})
-        .sort_values("cell")
-        .reset_index(drop=True)
-    )
-
-
 CURATION_STOP = ("the", "a", "and", "of", "to")
 
 
@@ -1705,41 +1077,19 @@ def _curation_decode_key(b: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _curate(docs: rd.Dataset) -> pd.DataFrame:
-    """normalize → quality filter → exact dedup → balanced sample over an
-    already-read (doc_id, lang, text) Dataset — shared by curation_pipeline
-    and curation_v2 (which prepends decontamination)."""
+def q_curation_v2(sf_dir: str) -> pd.DataFrame:
+    """The composed training-data curation flow as ONE Dataset pipeline:
+    benchmark decontamination → normalize → quality filter → exact dedup
+    (survivor = min doc_id per normalized text) → deterministic
+    stratum-balanced sample; emits the surviving (doc_id, lang). Docs
+    sharing any word 3-shingle with the benchmark set (doc_id %
+    DECONTAM_BENCH_MOD == 0 — which the filter also drops, being
+    self-contaminated) are removed first, the order a production feed
+    runs. The decon filter is the broadcast shingle-set membership of
+    q_decontamination (no shuffle added); the whole five-stage composition
+    is value-hash oracle-gated end to end."""
     from ray.data.aggregate import Min
 
-    survivors = (
-        docs.map_batches(_curation_norm_quality, batch_format="pyarrow")
-        .map_batches(_curation_dedup_partial, batch_format="pyarrow")
-        .groupby(["h1", "h2"])
-        .aggregate(Min("k", alias_name="k"))
-        .map_batches(_curation_decode_key, batch_format="pandas")
-        .materialize()
-    )
-    return _balanced_sample_by_lang(survivors)
-
-
-def q_curation_pipeline(sf_dir: str) -> pd.DataFrame:
-    """The composed training-data curation flow as ONE Dataset pipeline:
-    normalize → quality filter → exact dedup (survivor = min doc_id per
-    normalized text) → deterministic stratum-balanced sample. Emits the
-    surviving (doc_id, lang) — what you'd feed a tokenizer. Every stage's
-    semantics are SQL-mirrored, so the whole composition is value-hash
-    oracle-gated end to end."""
-    return _curate(_read_documents(sf_dir, ["doc_id", "lang", "text"]))
-
-
-def q_curation_v2(sf_dir: str) -> pd.DataFrame:
-    """curation_pipeline with benchmark DECONTAMINATION composed in front:
-    docs sharing any word 3-shingle with the benchmark set
-    (doc_id % DECONTAM_BENCH_MOD == 0 — which the filter also drops, being
-    self-contaminated) are removed BEFORE normalize/quality/dedup/sample,
-    the order a production feed runs. The decon filter is the broadcast
-    shingle-set membership of q_decontamination (no shuffle added); the
-    whole five-stage composition is value-hash oracle-gated end to end."""
     docs = _read_documents(sf_dir, ["doc_id", "lang", "text"])
     ref = ray.put(_bench_shingle_set(docs, DECONTAM_BENCH_MOD))
 
@@ -1747,7 +1097,16 @@ def q_curation_v2(sf_dir: str) -> pd.DataFrame:
         clean = _shared_shingle_counts(b, ray.get(ref)) == 0
         return b.filter(pa.array(clean))
 
-    return _curate(docs.map_batches(decon_filter, batch_format="pyarrow"))
+    survivors = (
+        docs.map_batches(decon_filter, batch_format="pyarrow")
+        .map_batches(_curation_norm_quality, batch_format="pyarrow")
+        .map_batches(_curation_dedup_partial, batch_format="pyarrow")
+        .groupby(["h1", "h2"])
+        .aggregate(Min("k", alias_name="k"))
+        .map_batches(_curation_decode_key, batch_format="pandas")
+        .materialize()
+    )
+    return _balanced_sample_by_lang(survivors)
 
 
 PACK_CTX = 512
@@ -1919,26 +1278,12 @@ def q_pack_nobreak(sf_dir: str, ctx: int = PACK_CTX) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 
-def q_hll_distinct_users(sf_dir: str) -> pd.DataFrame:
-    """Approximate distinct users per event_type via mergeable HLL sketches:
-    one sketch per key per batch in map_batches, tiny driver-side merge.
-    Rows-only for the driver (approximate ≠ SQL-exact); pytest bounds the
-    error vs count(DISTINCT) at <5%."""
-    ds = _tuned_read(os.path.join(sf_dir, "events.parquet"),
-                     columns=["event_type", "user_id"])
-    parts = ds.map_batches(
-        lambda b: hll_partial_batch(b, key_col="event_type", value_col="user_id"),
-        batch_format="pyarrow",
-    ).to_pandas()
-    return hll_merge_partials(parts)
-
-
 def q_hll_registers(sf_dir: str) -> pd.DataFrame:
     """The HLL sketch itself, oracle-gated: merged (key, bucket, rank)
     registers per event_type. DuckDB recomputes fmix64(fnv1a(user_id)) with
     exact 64-bit wraparound arithmetic, so the sketch — not just its
-    estimate — is value-hash-checked against SQL. Same mergeable-partial
-    pipeline as :func:`q_hll_distinct_users`."""
+    estimate — is value-hash-checked against SQL. Mergeable partials: one
+    sketch per key per batch in map_batches, tiny driver-side merge."""
     ds = _tuned_read(
         os.path.join(sf_dir, "events.parquet"), columns=["event_type", "user_id"]
     )
@@ -1964,62 +1309,6 @@ def q_hll_registers(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 
-def _kmeans_lite(M: np.ndarray, k: int, iters: int = 8, seed: int = 77) -> np.ndarray:
-    """Seeded Lloyd iterations on a sample — the IVF coarse quantizer."""
-    rng = np.random.default_rng(seed)
-    C = M[rng.choice(len(M), size=min(k, len(M)), replace=False)].copy()
-    for _ in range(iters):
-        assign = np.argmax(M @ C.T, axis=1)  # cosine on normalized rows
-        for j in range(len(C)):
-            sel = M[assign == j]
-            if len(sel):
-                c = sel.mean(axis=0)
-                n = np.linalg.norm(c)
-                if n > 0:
-                    C[j] = c / n
-    return C
-
-
-# above this many vectors, a head sample is no longer a credible quantizer
-# training set (and reading it is no longer the cheap option): train with
-# the distributed one-pass-per-iteration k-means instead
-IVF_DISTRIBUTED_QUANTIZER_MIN_ROWS = 1_000_000
-
-
-def q_knn_ivf(
-    sf_dir: str, n_lists: int = 16, n_probe: int = 4, quantizer: str = "auto"
-) -> pd.DataFrame:
-    """IVF ANN: train a coarse quantizer (``quantizer="head"``: Lloyd on a
-    bounded head sample — never a full-table driver read;
-    ``"distributed"``: ann.kmeans_distributed, one streaming corpus pass
-    per iteration — the 10^10-vector path; ``"auto"`` (default): head below
-    :data:`IVF_DISTRIBUTED_QUANTIZER_MIN_ROWS` rows per the parquet
-    metadata, distributed above), bucket the corpus by nearest centroid
-    inside the :func:`ann.knn_search` pass, and search only the n_probe
-    closest lists per query (per-batch partial top-k; only nq×k×batches
-    rows reach the driver). Rows-only; pytest bounds recall vs brute force
-    on BOTH quantizers."""
-    q = _load_queries(sf_dir)
-    if quantizer == "auto":
-        n_rows = pq.ParquetFile(
-            os.path.join(sf_dir, "embeddings.parquet")
-        ).metadata.num_rows
-        quantizer = (
-            "distributed" if n_rows >= IVF_DISTRIBUTED_QUANTIZER_MIN_ROWS else "head"
-        )
-    if quantizer == "distributed":
-        C = ann.kmeans_distributed(_read_embeddings(sf_dir), n_lists)
-    else:
-        pf = pq.ParquetFile(os.path.join(sf_dir, "embeddings.parquet"))
-        head = next(pf.iter_batches(batch_size=2000, columns=["embedding"]))
-        sample = ann.normalize_rows(ann._stack(pa.Table.from_batches([head])["embedding"]))
-        C = _kmeans_lite(sample, n_lists)
-    probes = np.argsort(-(ann.normalize_rows(q["vecs"]) @ C.T), axis=1)[:, :n_probe]
-    return _cosine_knn(
-        sf_dir, q, lambda M, _ids: np.argmax(ann.normalize_rows(M) @ C.T, axis=1), probes
-    )
-
-
 IVF_INT_LISTS = 16
 IVF_INT_PROBE = 4
 
@@ -2030,14 +1319,13 @@ def q_knn_ivf_int(sf_dir: str) -> pd.DataFrame:
     assignment and probe ranking bit-for-bit (same fixed-point scheme as
     ann.HyperplaneLSH). Centroids are the data-sampled vectors ``vec_id <
     IVF_INT_LISTS`` (FAISS-style sampled coarse centroids, no Lloyd
-    refinement — the Lloyd variants stay in :func:`q_knn_ivf` under the
-    recall pytest), quantized to ``floor(x * 10^6)`` BIGINTs along with
+    refinement), quantized to ``floor(x * 10^6)`` BIGINTs along with
     every corpus/query vector. Each dot is a sum of 64 products |.| <=
     ~3e11 (< 2^53), so the float64 matmul is EXACT and equals DuckDB's
     BIGINT arithmetic; assignment tiebreak is the smaller list id.
 
-    Scale shape is identical to :func:`q_knn_ivf`: per-batch integer
-    assignment and probe pruning inside the :func:`ann.knn_search` pass —
+    Scale shape: per-batch integer assignment and probe pruning inside
+    the :func:`ann.knn_search` pass —
     only nq×k×batches partial rows reach the driver merge."""
     C = _sampled_centroids(sf_dir, IVF_INT_LISTS)
     q = _load_queries(sf_dir)

@@ -180,28 +180,6 @@ SELECT doc_id,
 FROM scored
 """
 
-# whole-doc Horner polynomial hash mod 2^64 (base 1000003), mirroring
-# stages/text.fingerprint_poly exactly; ASCII contract: ord(char) == byte.
-ORACLE_SQL["doc_fingerprint"] = """
-WITH hashed AS (
-  SELECT doc_id,
-    CASE WHEN length(text) = 0 THEN 0::HUGEINT
-         ELSE list_reduce(list_transform(split(text, ''), c -> ord(c)::HUGEINT),
-                          (a, b) -> (a * 1000003 + b) % (1::HUGEINT << 64))
-    END AS h
-  FROM documents
-)
-SELECT doc_id,
-       CASE WHEN h >= (1::HUGEINT << 63) THEN (h - (1::HUGEINT << 64))::BIGINT
-            ELSE h::BIGINT END AS fingerprint64
-FROM hashed
-"""
-
-ORACLE_SQL["dedup_exact"] = """
-SELECT CAST(min(doc_id) AS BIGINT) AS doc_id, count(*) AS n_copies
-FROM documents GROUP BY text
-"""
-
 ORACLE_SQL["ngram_jaccard"] = """
 WITH toks AS (
   SELECT doc_id, source, list_distinct(string_split_regex(trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)),'[ \\t\\n\\x0b\\x0c\\r]+')) AS t
@@ -214,13 +192,6 @@ SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
 FROM toks a JOIN toks b ON a.source = b.source AND a.doc_id < b.doc_id
 WHERE floor(1000.0 * len(list_intersect(a.t, b.t))
       / (len(a.t) + len(b.t) - len(list_intersect(a.t, b.t)))) >= 200
-"""
-
-ORACLE_SQL["embedding_norms"] = """
-SELECT vec_id,
-       CAST(floor(1000 * sqrt(list_sum(list_transform(CAST(embedding AS DOUBLE[]),
-            x -> x*x)))) AS BIGINT) AS norm_x1000
-FROM embeddings
 """
 
 ORACLE_SQL["knn_bruteforce"] = """
@@ -240,33 +211,6 @@ SELECT qid AS query_id, nid AS neighbor_id, CAST(rank AS BIGINT) AS rank
 FROM ranked WHERE rank <= 10
 """
 
-# k-NN classification == majority label over the same exact top-10
-# (dataops.q_knn_classify; ties broken toward the smaller label)
-ORACLE_SQL["knn_classify"] = """
-WITH q AS (
-  SELECT vec_id AS qid, CAST(embedding AS DOUBLE[]) AS qv
-  FROM embeddings WHERE vec_id < 8
-), e AS (
-  SELECT vec_id AS nid, CAST(embedding AS DOUBLE[]) AS ev FROM embeddings
-), sims AS (
-  SELECT qid, nid, list_cosine_similarity(qv, ev) AS cos
-  FROM q CROSS JOIN e WHERE nid != qid
-), ranked AS (
-  SELECT qid, nid, row_number() OVER (PARTITION BY qid ORDER BY cos DESC, nid) AS rank
-  FROM sims
-), topk AS (
-  SELECT qid, nid FROM ranked WHERE rank <= 10
-), votes AS (
-  SELECT t.qid, emb.label, CAST(count(*) AS BIGINT) AS n_votes
-  FROM topk t JOIN embeddings emb ON emb.vec_id = t.nid
-  GROUP BY 1, 2
-)
-SELECT qid AS query_id, CAST(label AS BIGINT) AS label, n_votes
-FROM votes
-QUALIFY row_number() OVER (PARTITION BY qid
-                           ORDER BY n_votes DESC, label) = 1
-"""
-
 ORACLE_SQL["embedding_neardup"] = """
 WITH e AS (
   SELECT vec_id, label, CAST(embedding AS DOUBLE[]) AS v FROM embeddings
@@ -275,18 +219,6 @@ SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
        CAST(floor(1000 * list_cosine_similarity(a.v, b.v)) AS BIGINT) AS cos_x1000
 FROM e a JOIN e b ON a.label = b.label AND a.vec_id < b.vec_id
 WHERE list_cosine_similarity(a.v, b.v) >= 0.3
-"""
-
-ORACLE_SQL["centroid_by_label"] = """
-SELECT label, CAST(dim AS BIGINT) AS dim,
-       CAST(floor(1000 * avg(v)) AS BIGINT) AS avg_x1000
-FROM (
-  SELECT label,
-         unnest(CAST(embedding AS DOUBLE[])) AS v,
-         generate_subscripts(embedding, 1) AS dim
-  FROM embeddings
-)
-GROUP BY 1, 2
 """
 
 # salted variants must equal their unsalted oracles exactly
@@ -1058,56 +990,6 @@ SELECT d.doc_id,
 FROM documents d LEFT JOIN agg a USING (doc_id)
 """
 
-# Line-level dedup (C4/RefinedWeb "repeated line removal", keep-FIRST
-# occurrence): a "line" is a fixed-width NON-OVERLAPPING token chunk
-# (LINE_DEDUP_W tokens; the corpus has no newlines — splitting on real
-# newlines is the same operator with a different span function). Unlike
-# substring_dedup (which SCORES duplicated spans), this REWRITES the
-# corpus: a chunk occurrence survives iff it is the globally first
-# occurrence of its hash in (doc_id, chunk_idx) order. kept_lo/hi_sum are
-# the 32-bit halves of the kept-chunk hash sum, so the rewritten corpus
-# content (not just counts) is value-checked without re-materializing
-# text. The combined order key doc_id * LINE_CHUNK_IDX_CAP + chunk_idx is
-# exact while chunk_idx < 2^21 and doc_id < 2^42 (the Ray kernel asserts).
-LINE_DEDUP_W = 10
-LINE_CHUNK_IDX_CAP = 1 << 21
-LINE_DEDUP_BROADCAST_MAX = 2_000_000  # first-occurrence map rows; above -> join
-
-ORACLE_SQL["line_dedup"] = f"""
-WITH {_TOKS_TH},
-ch AS (
-  SELECT doc_id,
-    CASE WHEN len(hs) = 0 THEN []
-    ELSE list_transform(
-      generate_series(1, CAST(ceil(len(hs) / {LINE_DEDUP_W}.0) AS BIGINT)),
-      j -> list_reduce(hs[(j-1)*{LINE_DEDUP_W}+1 : least(j*{LINE_DEDUP_W}, len(hs))],
-                       (a, x) -> (a * 1000003 % {_M64} + x) % {_M64}))
-    END AS cl
-  FROM th),
-pos AS (
-  SELECT doc_id, unnest(cl) AS h,
-         unnest(generate_series(1, len(cl))) - 1 AS j
-  FROM ch),
-firsts AS (
-  SELECT h, min(doc_id * {LINE_CHUNK_IDX_CAP} + j) AS kmin FROM pos GROUP BY h),
-agg AS (
-  SELECT p.doc_id,
-    CAST(count(*) AS BIGINT) AS n_chunks,
-    CAST(sum(CASE WHEN p.doc_id * {LINE_CHUNK_IDX_CAP} + p.j = f.kmin
-             THEN 1 ELSE 0 END) AS BIGINT) AS n_kept,
-    CAST(sum(CASE WHEN p.doc_id * {LINE_CHUNK_IDX_CAP} + p.j = f.kmin
-             THEN p.h % 4294967296 ELSE 0 END) AS BIGINT) AS kept_lo_sum,
-    CAST(sum(CASE WHEN p.doc_id * {LINE_CHUNK_IDX_CAP} + p.j = f.kmin
-             THEN p.h // 4294967296 ELSE 0 END) AS BIGINT) AS kept_hi_sum
-  FROM pos p JOIN firsts f USING (h) GROUP BY 1)
-SELECT d.doc_id,
-  CAST(COALESCE(a.n_chunks, 0) AS BIGINT) AS n_chunks,
-  CAST(COALESCE(a.n_kept, 0) AS BIGINT) AS n_kept,
-  CAST(COALESCE(a.kept_lo_sum, 0) AS BIGINT) AS kept_lo_sum,
-  CAST(COALESCE(a.kept_hi_sum, 0) AS BIGINT) AS kept_hi_sum
-FROM documents d LEFT JOIN agg a USING (doc_id)
-"""
-
 # Model-based quality filtering with a deterministic stand-in for learned
 # weights (the fastText/DCLM-classifier shape): token weight = a pure
 # function of the FNV token hash, w(t) = (h % QUALITY_WEIGHT_MOD) - MOD//2
@@ -1131,39 +1013,6 @@ SELECT doc_id, n_tokens, score,
 FROM sc
 """
 
-# Curriculum ordering: exact global rank by (quality score, doc_id) asc
-# (score = the quality_classify hashed-weight sum), shard = rank*S//n —
-# both sides pure integers; rank is 0-based.
-ORACLE_SQL["curriculum_shards"] = f"""
-WITH {_TOKS_TH},
-sc AS (
-  SELECT doc_id,
-    CAST(COALESCE(list_sum(list_transform(hs, h -> (h % {QUALITY_WEIGHT_MOD})::BIGINT - {QUALITY_WEIGHT_MOD // 2})), 0) AS BIGINT) AS score
-  FROM th),
-rk AS (
-  SELECT doc_id, score,
-         row_number() OVER (ORDER BY score, doc_id) - 1 AS rank
-  FROM sc),
-t AS (SELECT CAST(count(*) AS BIGINT) AS n FROM sc)
-SELECT doc_id, score, CAST(rank AS BIGINT) AS rank,
-       CAST(rank * 8 // t.n AS BIGINT) AS shard
-FROM rk, t
-"""
-
-# Domain/source-level filtering (the C4/RefinedWeb URL-level rule shape):
-# a source survives iff its mean doc length (permille-scaled integer) is
-# at least the corpus-wide mean; surviving docs pass through. All values
-# nonnegative, so // is exact on both sides.
-ORACLE_SQL["domain_filter"] = """
-WITH s AS (
-  SELECT source, CAST(count(*) AS BIGINT) AS n, CAST(sum(n_chars) AS BIGINT) AS tc
-  FROM documents GROUP BY 1),
-g AS (SELECT CAST((1000 * sum(n_chars)) // count(*) AS BIGINT) AS gm FROM documents)
-SELECT d.doc_id, d.source, CAST(d.n_chars AS BIGINT) AS n_chars
-FROM documents d JOIN s USING (source) CROSS JOIN g
-WHERE (1000 * s.tc) // s.n >= g.gm
-"""
-
 # Deterministic train/val/test split: bucket = fnv1a(str(doc_id)) % 100,
 # train < SPLIT_TRAIN_X100 <= val < SPLIT_VAL_X100 <= test. Shuffle-free
 # and reproducible across runs/nodes (the hash, not row order, decides);
@@ -1185,31 +1034,6 @@ SELECT doc_id, lang, CAST(b AS BIGINT) AS bucket,
        WHEN b < {SPLIT_VAL_X100} THEN 'val'
        ELSE 'test' END AS split
 FROM h
-"""
-
-# Count-min sketch over corpus tokens, recomputed cell-for-cell: h1 = the
-# FNV-1a token hash, h2 = the base-1000003 polynomial hash, cell(d) =
-# d*1024 + (h1 + d*h2) mod 1024. Width is a power of two, so the engine's
-# mod-2^64 wraparound drops out of the SQL side: 2^64 ≡ 0 (mod 1024).
-ORACLE_SQL["cms_tokens"] = f"""
-WITH tok AS (
-  SELECT unnest(string_split_regex(trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)),
-                                   '[ \\t\\n\\x0b\\x0c\\r]+')) AS t
-  FROM documents
-  WHERE trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)) <> ''
-), h AS (
-  SELECT {_FNV_TOKEN} AS h1,
-         list_reduce(
-           list_prepend(0::HUGEINT,
-                        list_transform(split(t, ''), c -> ord(c)::HUGEINT)),
-           (a, b) -> (a * 1000003 + b) % (1::HUGEINT << 64)) AS h2
-  FROM tok
-), cells AS (
-  SELECT CAST(d.d * 1024 + CAST((h1 + d.d::HUGEINT * h2) % 1024 AS BIGINT) AS BIGINT) AS cell
-  FROM h CROSS JOIN (VALUES (0), (1), (2), (3)) AS d(d)
-)
-SELECT cell, CAST(count(*) AS BIGINT) AS cnt
-FROM cells GROUP BY cell ORDER BY cell
 """
 
 ORACLE_SQL["simhash"] = f"""
@@ -1582,15 +1406,7 @@ FROM px GROUP BY 1, 2, 3
 """
 
 
-# --- corpus curation: normalize / balanced sample / sequence packing -------
-
-ORACLE_SQL["text_normalize"] = """
-SELECT doc_id,
-       lower(trim(regexp_replace(text, '[ \\t\\n\\x0b\\x0c\\r]+', ' ', 'g'), ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12))) AS norm_text,
-       CAST(length(lower(trim(regexp_replace(text, '[ \\t\\n\\x0b\\x0c\\r]+', ' ', 'g'), ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)))) AS BIGINT)
-         AS n_chars_norm
-FROM documents
-"""
+# --- corpus curation: mixture sampling / sequence packing ----------------
 
 # fnv1a over the decimal string of doc_id (same keying as the Ray side's
 # fnv1a_u64(cast(doc_id, string)))
@@ -1627,21 +1443,6 @@ g AS (
   FROM g
 )
 SELECT doc_id, lang, CAST(n_tok AS BIGINT) AS n_tokens FROM r WHERE cum <= budget
-"""
-
-ORACLE_SQL["sample_balanced"] = f"""
-WITH c AS (
-  SELECT lang, count(*) AS n FROM documents GROUP BY 1
-), m AS (
-  SELECT min(n) AS mn FROM c
-), thr AS (
-  SELECT lang, (1000000 * (SELECT mn FROM m)) // n AS t FROM c
-), h AS (
-  SELECT doc_id, lang, ({_FNV_DOCID}) % 1000000 AS gate FROM documents
-)
-SELECT h.doc_id, h.lang
-FROM h JOIN thr USING (lang)
-WHERE gate < thr.t::HUGEINT
 """
 
 ORACLE_SQL["pack_sequences"] = """
@@ -1711,14 +1512,26 @@ FROM rec JOIN offs USING (range_id)
 """
 
 
-# Composed curation flow: normalize -> quality -> exact-dedup (arg-min via a
-# zero-padded composite key, mirroring the Ray aggregate) -> balanced sample.
-ORACLE_SQL["curation_pipeline"] = f"""
-WITH normed AS (
+# curation_v2 = decontamination composed in FRONT of the curation flow: the
+# decon CTEs (shared _TOKS_TH/_SHING_CTE + the DECONTAM_BENCH_MOD rule)
+# define `clean`, then normalize -> quality -> exact-dedup (arg-min via a
+# zero-padded composite key, mirroring the Ray aggregate) -> balanced
+# sample run over it. `ctoks` avoids a clash with _TOKS_TH's `toks`.
+ORACLE_SQL["curation_v2"] = f"""
+WITH {_TOKS_TH}, {_SHING_CTE}, bench AS (
+  SELECT DISTINCT unnest(sh) AS s FROM shing WHERE doc_id % {DECONTAM_BENCH_MOD} = 0
+), contaminated AS (
+  SELECT DISTINCT r.doc_id
+  FROM (SELECT doc_id, unnest(sh) AS s FROM shing) r
+  WHERE r.s IN (SELECT s FROM bench)
+), clean AS (
+  SELECT d.* FROM documents d
+  WHERE d.doc_id NOT IN (SELECT doc_id FROM contaminated)
+), normed AS (
   SELECT doc_id, lang,
          lower(trim(regexp_replace(text, '[ \\t\\n\\x0b\\x0c\\r]+', ' ', 'g'), ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12))) AS norm_text
-  FROM documents
-), toks AS (
+  FROM clean
+), ctoks AS (
   SELECT doc_id, lang, norm_text,
     CASE WHEN norm_text = '' THEN 0
          ELSE len(string_split(norm_text, ' ')) END AS n_tok,
@@ -1727,7 +1540,7 @@ WITH normed AS (
                   t -> t IN ('the', 'a', 'and', 'of', 'to'))) END AS n_stop
   FROM normed
 ), quality AS (
-  SELECT doc_id, lang, norm_text FROM toks
+  SELECT doc_id, lang, norm_text FROM ctoks
   WHERE n_tok BETWEEN 10 AND 1000 AND 5 * n_stop <= n_tok
 ), surv AS (
   SELECT min(lpad(CAST(doc_id AS VARCHAR), 12, '0') || '|' || lang) AS k
@@ -1749,35 +1562,6 @@ SELECT h.doc_id, h.lang
 FROM h JOIN thr USING (lang)
 WHERE gate < thr.t::HUGEINT
 """
-
-
-# curation_v2 = decontamination composed in FRONT of the curation flow.
-# Built from the curation_pipeline oracle by substitution so the two stay
-# single-sourced: the decon CTEs (shared _TOKS_TH/_SHING_CTE + the
-# DECONTAM_BENCH_MOD rule) define `clean`, and the curation body runs
-# verbatim over `clean` instead of `documents`.
-assert ORACLE_SQL["curation_pipeline"].lstrip().startswith("WITH normed AS (")
-assert ORACLE_SQL["curation_pipeline"].count("FROM documents") == 1
-ORACLE_SQL["curation_v2"] = (
-    f"""
-WITH {_TOKS_TH}, {_SHING_CTE}, bench AS (
-  SELECT DISTINCT unnest(sh) AS s FROM shing WHERE doc_id % {DECONTAM_BENCH_MOD} = 0
-), contaminated AS (
-  SELECT DISTINCT r.doc_id
-  FROM (SELECT doc_id, unnest(sh) AS s FROM shing) r
-  WHERE r.s IN (SELECT s FROM bench)
-), clean AS (
-  SELECT d.* FROM documents d
-  WHERE d.doc_id NOT IN (SELECT doc_id FROM contaminated)
-)"""
-    + ORACLE_SQL["curation_pipeline"]
-    .lstrip()
-    .replace("WITH normed AS (", ", normed AS (", 1)
-    .replace("FROM documents", "FROM clean")
-    # the curation body's token CTE collides with _TOKS_TH's `toks`
-    .replace(" toks AS (", " ctoks AS (")
-    .replace("FROM toks", "FROM ctoks")
-)
 
 # the streaming scrub operator's committed sink equals the batch pii_scrub
 # query (same decoration, same RE2 patterns, same column names)
@@ -1803,78 +1587,6 @@ WITH tok AS (
 )
 SELECT lang, CAST([50, 90, 99][i] AS BIGINT) AS q_pct, CAST(qs[i] AS BIGINT) AS n_tokens
 FROM qd, (SELECT unnest(generate_series(1, 3)) AS i)
-"""
-
-# Integer-exact tf-idf top terms (dataops.q_tfidf_top_terms): score =
-# tf * N // df in pure integer arithmetic, so both sides agree bit-for-bit
-ORACLE_SQL["tfidf_top_terms"] = """
-WITH tok AS (
-  SELECT doc_id,
-         unnest(string_split_regex(trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)),
-                                   '[ \\t\\n\\x0b\\x0c\\r]+')) AS term
-  FROM documents
-  WHERE trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)) <> ''
-), tf_t AS (
-  SELECT doc_id, term, CAST(count(*) AS BIGINT) AS tf FROM tok GROUP BY 1, 2
-), df_t AS (
-  SELECT term, CAST(count(*) AS BIGINT) AS df FROM tf_t GROUP BY 1
-)
-SELECT tf_t.doc_id, tf_t.term, tf_t.tf, df_t.df,
-       CAST(tf_t.tf * (SELECT CAST(count(*) AS BIGINT) FROM documents)
-            // df_t.df AS BIGINT) AS score
-FROM tf_t JOIN df_t USING (term)
-QUALIFY row_number() OVER (PARTITION BY doc_id
-                           ORDER BY score DESC, term) <= 3
-"""
-
-# Inverted-index build: per-token df / tf / posting extrema plus an
-# order-free exact posting-set check (32-bit halves of the doc_id sum —
-# each half sums values < 2^32, so BIGINT is exact at any df). The token
-# split is the shared whitespace rule; empty docs contribute nothing.
-ORACLE_SQL["inverted_index"] = """
-WITH pos AS (
-  SELECT doc_id,
-         unnest(string_split_regex(trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)),
-                                   '[ \\t\\n\\x0b\\x0c\\r]+')) AS token
-  FROM documents
-  WHERE trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)) <> ''
-),
-pd AS (
-  SELECT token, doc_id, CAST(count(*) AS BIGINT) AS tf
-  FROM pos GROUP BY 1, 2
-)
-SELECT token,
-  CAST(count(*) AS BIGINT) AS df,
-  CAST(sum(tf) AS BIGINT) AS tf,
-  CAST(min(doc_id) AS BIGINT) AS min_doc,
-  CAST(max(doc_id) AS BIGINT) AS max_doc,
-  CAST(sum(doc_id % 4294967296) AS BIGINT) AS posting_lo_sum,
-  CAST(sum(doc_id // 4294967296) AS BIGINT) AS posting_hi_sum
-FROM pd GROUP BY token
-"""
-
-# Nucleus vocabulary coverage: smallest number of token TYPES reaching
-# >= pct% of total token mass under (count desc, token asc) order; the
-# threshold compares 100*cumsum >= pct*total in integers.
-ORACLE_SQL["vocab_coverage"] = """
-WITH tok AS (
-  SELECT unnest(string_split_regex(trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)),
-                                   '[ \\t\\n\\x0b\\x0c\\r]+')) AS token
-  FROM documents
-  WHERE trim(text, ' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)) <> ''
-),
-c AS (SELECT token, CAST(count(*) AS BIGINT) AS cnt FROM tok GROUP BY token),
-o AS (
-  SELECT cnt,
-         sum(cnt) OVER (ORDER BY cnt DESC, token ASC ROWS UNBOUNDED PRECEDING) AS cum,
-         row_number() OVER (ORDER BY cnt DESC, token ASC) AS rk
-  FROM c),
-t AS (SELECT CAST(sum(cnt) AS BIGINT) AS total, CAST(count(*) AS BIGINT) AS vs FROM c)
-SELECT t.total AS total_tokens, t.vs AS vocab_size,
-  CAST(min(CASE WHEN 100 * o.cum >= 50 * t.total THEN o.rk END) AS BIGINT) AS cover_50,
-  CAST(min(CASE WHEN 100 * o.cum >= 90 * t.total THEN o.rk END) AS BIGINT) AS cover_90,
-  CAST(min(CASE WHEN 100 * o.cum >= 99 * t.total THEN o.rk END) AS BIGINT) AS cover_99
-FROM o, t GROUP BY t.total, t.vs
 """
 
 # corpus-wide top-k tokens, deterministic (count desc, token asc) tie-break

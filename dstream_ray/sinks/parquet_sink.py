@@ -82,6 +82,24 @@ def parse_epoch_range(fname: str) -> tuple[int, int, int] | None:
     return None
 
 
+def _read_cursor(path: str) -> dict[str, int] | None:
+    """A consumer cursor file's ``{op: epoch}``, or None when the file does
+    not exist (a new consumer). A file that exists but does not parse
+    raises, naming it: reading it as "no cursor" would re-deliver every
+    row to that consumer and drop its compaction boundary."""
+    import json
+
+    try:
+        with open(path) as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        return None
+    try:
+        return {k: int(v) for k, v in json.loads(raw).items()}
+    except (ValueError, TypeError, AttributeError) as e:
+        raise ValueError(f"corrupt consumer cursor file {path}: {e}") from e
+
+
 def live_files(paths: list[str]) -> list[str]:
     """Visibility rule that makes compaction crash-safe WITHOUT a manifest:
     within each directory, a file whose epoch range is contained in a
@@ -154,15 +172,19 @@ class ExactlyOnceParquetSink:
 
     @staticmethod
     def promote(final_paths: list[str]) -> None:
-        """Second phase: atomic renames. Idempotent — a missing .tmp with the
-        final file present means a previous attempt already promoted it."""
+        """Second phase: atomic renames, then one fsync per directory, all
+        before the caller writes the manifest. Idempotent — a missing .tmp
+        with the final file present means a previous attempt already
+        promoted it; a rename lost before its fsync leaves the fsynced .tmp,
+        which the replay promotes again."""
         for final in final_paths:
             tmp = final + ".tmp"
             if os.path.exists(tmp):
                 os.replace(tmp, final)
-                fsync_dir(os.path.dirname(final))
             elif not os.path.exists(final):
                 raise FileNotFoundError(f"neither staged nor final file exists: {final}")
+        for d in sorted({os.path.dirname(f) for f in final_paths}):
+            fsync_dir(d)
 
     def read_op(self, op: str, committed_files: list[str] | None = None) -> pa.Table:
         """Read back an operator's committed output (test/verification path,
@@ -193,16 +215,12 @@ class ExactlyOnceParquetSink:
         cdir = self._consumer_dir()
         if not os.path.isdir(cdir):
             return out
-        import json
-
         for f in sorted(os.listdir(cdir)):
             if not f.endswith(".json"):
                 continue
-            try:
-                with open(os.path.join(cdir, f)) as fh:
-                    out[f[:-5]] = {k: int(v) for k, v in json.load(fh).items()}
-            except (OSError, ValueError):
-                continue
+            cursor = _read_cursor(os.path.join(cdir, f))
+            if cursor is not None:
+                out[f[:-5]] = cursor
         return out
 
     def consumer_cursors(self, op: str) -> dict:
@@ -336,13 +354,7 @@ class SinkFollower:
         self.cursor = self._load().get(op, -1)
 
     def _load(self) -> dict:
-        import json
-
-        try:
-            with open(self.path) as fh:
-                return {k: int(v) for k, v in json.load(fh).items()}
-        except (OSError, ValueError):
-            return {}
+        return _read_cursor(self.path) or {}
 
     def _persist(self) -> None:
         import json

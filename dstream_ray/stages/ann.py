@@ -13,11 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
-
-from dstream_ray import register_pickle_by_value
-
-register_pickle_by_value()
 
 
 def _stack(batch_col) -> np.ndarray:
@@ -169,56 +164,3 @@ def cosine_neardup_group(group: pd.DataFrame, *, tau: float = 0.95) -> pd.DataFr
             "cos_x1000": np.floor(1000 * sims[ia[hit], ib[hit]]).astype(np.int64),
         }
     )
-
-
-def kmeans_distributed(
-    ds, k: int, *, iters: int = 8, seed: int = 77, sample_rows: int = 2000
-):
-    """Lloyd k-means where every iteration is ONE streaming pass over the
-    Dataset: centroids broadcast via ``ray.put``, per-batch partial
-    (sum, count) per centroid inside ``map_batches``, tiny k×dim driver
-    merge — the quantizer-training scale path for 10^10-vector corpora
-    (the head-sample variant in dataops._kmeans_lite is the cheap default).
-    Rows assign by cosine on normalized vectors; empty centroids keep their
-    previous position. Deterministic given (seed, data order)."""
-    head = []
-    need = sample_rows
-    for batch in ds.iter_batches(batch_size=min(sample_rows, 4096), batch_format="pyarrow"):
-        head.append(batch)
-        need -= batch.num_rows
-        if need <= 0:
-            break
-    sample = normalize_rows(_stack(pa.concat_tables(head)["embedding"])[:sample_rows])
-    rng = np.random.default_rng(seed)
-    C = sample[rng.choice(len(sample), size=min(k, len(sample)), replace=False)].copy()
-
-    for _ in range(iters):
-        c_ref = ray.put(C)
-
-        def partial(b: pa.Table) -> pa.Table:
-            cents = ray.get(c_ref)
-            M = normalize_rows(_stack(b["embedding"]))
-            assign = np.argmax(M @ cents.T, axis=1)
-            uniq = np.unique(assign)
-            sums = np.stack([M[assign == u].sum(axis=0) for u in uniq])
-            counts = np.array([(assign == u).sum() for u in uniq], dtype=np.int64)
-            return pa.table(
-                {
-                    "cid": pa.array(uniq.astype(np.int64)),
-                    "vsum": pa.array(list(sums), type=pa.list_(pa.float64())),
-                    "n": pa.array(counts),
-                }
-            )
-
-        parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-        newC = C.copy()
-        for cid, g in parts.groupby("cid"):
-            total = np.sum(np.stack([np.asarray(v) for v in g["vsum"]]), axis=0)
-            n = int(g["n"].sum())
-            if n > 0:
-                c = total / n
-                norm = np.linalg.norm(c)
-                if norm > 0:
-                    newC[int(cid)] = c / norm
-        C = newC
-    return C

@@ -671,9 +671,8 @@ def index_kernel(
     sink (the classic downstream of a change feed; ≙ the reference's
     publisher fan-out with an index as the consumer): each captured turn
     emits its postings rows ``(token, conv_id, turn_idx, tf)``, so the
-    committed sink IS the incrementally-maintained postings table of
-    :func:`dstream_ray.pipelines.dataops.build_inverted_index`, kept
-    current per epoch with exactly-once semantics. STATELESS (a turn's
+    committed sink IS an inverted index's postings table in columnar form,
+    kept current per epoch with exactly-once semantics. STATELESS (a turn's
     postings depend only on its own text, and the relay guarantees each
     turn is delivered once), so epoch-split invariance is structural.
     Tokenization is the byte-level deterministic tokenizer

@@ -146,41 +146,6 @@ def shingle_all_batch(strings, w: int = 3):
     return out, out_offsets
 
 
-def chunk_hashes_batch(strings, w: int = 10):
-    """Non-overlapping token-chunk ("line") hashes per doc, position order:
-    ``(flat_hashes, chunk_idx, doc_offsets[n+1])``. Chunk ``j`` of a doc
-    covers tokens ``[j*w, min((j+1)*w, n_tokens))`` — the last chunk may be
-    short; a 1-token chunk hashes to its token hash. Hash = base-1000003
-    Horner fold mod 2^64 of the FNV token hashes, the same fold the shingle
-    family uses, so the SQL twin is a ``list_reduce`` over a list slice.
-
-    This is the unit of line-level dedup (C4/RefinedWeb "repeated line
-    removal"): the synthetic corpus has no newlines, so a "line" is
-    formalized as a fixed-width token chunk; splitting on real newlines is
-    the same kernel with a different span function."""
-    flat, offsets = token_hash_arrays(strings)
-    counts = np.diff(offsets)
-    n = len(counts)
-    chunk_counts = -(-counts // w)  # ceil division; 0-token docs get 0 chunks
-    total = int(chunk_counts.sum())
-    out_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(chunk_counts, out=out_offsets[1:])
-    intra = (np.arange(total, dtype=np.int64)
-             - np.repeat(out_offsets[:-1], chunk_counts))
-    cstart = np.repeat(offsets[:-1], chunk_counts) + intra * w
-    clen = np.minimum(np.repeat(offsets[1:], chunk_counts) - cstart, w)
-    if total == 0:
-        return np.empty(0, dtype=np.uint64), intra, out_offsets
-    acc = flat[cstart].copy()
-    with np.errstate(over="ignore"):
-        for j in range(1, w):
-            m = clen > j
-            if not m.any():
-                break
-            acc[m] = acc[m] * SHINGLE_MIX + flat[cstart[m] + j]
-    return acc, intra, out_offsets
-
-
 def minhash_signatures_batch(
     values: np.ndarray, offsets: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:

@@ -7,17 +7,9 @@ second stage. Registers are a numpy array; merge = elementwise max.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from dstream_ray.common import (
-    fnv1a_u64,
-    hash_spans,
-    poly_hash_spans,
-    poly_hash_strings,
-    token_spans,
-    utf8_view,
-)
+from dstream_ray.common import fnv1a_u64
 
 
 def hll_idx_rank(h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,72 +115,3 @@ def hll_partial_batch(batch: pa.Table, *, key_col: str, value_col: str, p: int =
             "sketch": pa.array([r.tobytes() for r in regs], type=pa.binary()),
         }
     )
-
-
-def hll_merge_partials(parts: pd.DataFrame, p: int = 12) -> pd.DataFrame:
-    """Tiny final stage: merge per-key sketches, emit estimates."""
-    rows = []
-    for k, g in parts.groupby("key"):
-        h = HLL(p)
-        for blob in g["sketch"]:
-            h = h.merge(HLL.from_bytes(bytes(blob), p))
-        rows.append((k, int(round(h.estimate()))))
-    return pd.DataFrame(rows, columns=["key", "approx_distinct"])
-
-
-# --- Count-min sketch -------------------------------------------------------
-
-CMS_DEPTH = 4
-CMS_WIDTH = 1024  # power of two: (h mod 2^64) mod width == h mod width
-
-
-def cms_cells_batch(
-    texts, depth: int = CMS_DEPTH, width: int = CMS_WIDTH
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero count-min-sketch cells for every whitespace token of a batch
-    of docs — the mergeable partial of the CMS frequency sketch (merge =
-    elementwise sum; the second sketch of the family next to HLL).
-
-    Row hashes use Kirsch-Mitzenmacher double hashing over the two
-    vectorized kernels the dedup family already ships: ``cell(d) = d*width
-    + (h1 + d*h2) mod width`` with h1 = FNV-1a and h2 = the base-1000003
-    polynomial hash, both mod 2^64. ``width`` must be a power of two so
-    the SQL oracle can drop the mod-2^64 wraparound (2^64 ≡ 0 mod width).
-
-    Returns ``(cell_ids, counts)`` int64 arrays (≤ depth×width long).
-    """
-    assert width & (width - 1) == 0, "width must be a power of two"
-    data, starts, ends = utf8_view(texts)
-    tok_starts, tok_lengths, _ = token_spans(data, starts, ends)
-    h1 = hash_spans(data, tok_starts, tok_lengths)
-    (h2,) = poly_hash_spans(data, tok_starts, tok_lengths, bases=(1000003,))
-    w = np.uint64(width)
-    parts = []
-    with np.errstate(over="ignore"):
-        for d in range(depth):
-            idx = ((h1 + np.uint64(d) * h2) % w).astype(np.int64) + d * width
-            parts.append(idx)
-    allc = (
-        np.concatenate(parts) if parts and len(h1) else np.empty(0, dtype=np.int64)
-    )
-    counts = np.bincount(allc, minlength=depth * width)
-    nz = np.flatnonzero(counts)
-    return nz.astype(np.int64), counts[nz].astype(np.int64)
-
-
-def cms_estimate(
-    dense_counts: np.ndarray, tokens, depth: int = CMS_DEPTH, width: int = CMS_WIDTH
-) -> np.ndarray:
-    """Point-query the merged sketch: min over rows of the addressed cells
-    (the classic one-sided overestimate). ``dense_counts`` is the full
-    depth×width vector indexed by cell id."""
-    arr = pa.array([str(t) for t in tokens], type=pa.string())
-    h1 = fnv1a_u64(arr)
-    (h2,) = poly_hash_strings(arr, bases=(1000003,))
-    w = np.uint64(width)
-    est = np.full(len(h1), np.iinfo(np.int64).max, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        for d in range(depth):
-            idx = ((h1 + np.uint64(d) * h2) % w).astype(np.int64) + d * width
-            est = np.minimum(est, dense_counts[idx])
-    return est

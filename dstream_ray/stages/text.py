@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from dstream_ray.common import poly_hash_spans, poly_hash_strings, utf8_view
+from dstream_ray.common import poly_hash_spans, utf8_view
 
 STOPWORDS = ("the", "a", "and", "of", "to")
 
@@ -151,21 +151,6 @@ class LangIdMarkers:
         return pa.table(
             {"doc_id": batch["doc_id"], "pred_lang": pa.array(pred, type=pa.string())}
         )
-
-
-def fingerprint_poly(batch: pa.Table) -> pa.Table:
-    """Whole-document content fingerprint: 64-bit polynomial (Horner) hash
-    of the UTF-8 bytes, vectorized over the batch (no per-row Python —
-    replaces the round-2 per-row ``hashlib.md5`` loop). Oracle: the same
-    Horner recurrence in HUGEINT (``list_reduce(chars, (a,b) -> (a*1000003
-    + b) % 2^64)``), signed-cast to BIGINT."""
-    (h,) = poly_hash_strings(batch["text"], bases=(1000003,))
-    return pa.table(
-        {
-            "doc_id": batch["doc_id"],
-            "fingerprint64": pa.array(h.astype(np.int64)),
-        }
-    )
 
 
 def rolling_fingerprint(batch: pa.Table, *, window: int = 16) -> pa.Table:

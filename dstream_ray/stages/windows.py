@@ -143,12 +143,25 @@ def _take(cols: Cols, mask: np.ndarray) -> pa.Table:
     return cols.origin.take(pa.array(cols.order[mask]))
 
 
-def _group_agg(keys: list[np.ndarray], cols: Cols) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Aggregate counts over contiguous (conv, key...) runs.
+_RUN_AGGS = {
+    "n_turns": lambda cols, starts: np.diff(np.append(starts, len(cols.codes))),
+    "n_user_turns": lambda cols, starts: np.add.reduceat(cols.is_user.astype(np.int64), starts),
+    "n_tool_turns": lambda cols, starts: np.add.reduceat(cols.is_tool.astype(np.int64), starts),
+    "n_chars": lambda cols, starts: np.add.reduceat(cols.n_chars, starts),
+    "min_ts": lambda cols, starts: np.minimum.reduceat(cols.ts, starts),
+    "max_ts": lambda cols, starts: np.maximum.reduceat(cols.ts, starts),
+    "first_turn_idx": lambda cols, starts: cols.turn[starts],
+    "last_turn_idx": lambda cols, starts: np.maximum.reduceat(cols.turn, starts),
+}
+
+
+def _group_agg(keys: list[np.ndarray], cols: Cols, names) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The ``names`` aggregates (keys of ``_RUN_AGGS``) over contiguous
+    (conv, key...) runs.
 
     ``keys`` are arrays non-decreasing within each conv segment, so runs of the
     composite key are contiguous -> segment reduction via np.add.reduceat.
-    Returns (run_start_indices, aggregates dict).
+    Returns (run_start_indices, aggregates dict in ``names`` order).
     """
     n = len(cols.codes)
     if n == 0:
@@ -159,18 +172,7 @@ def _group_agg(keys: list[np.ndarray], cols: Cols) -> tuple[np.ndarray, dict[str
     for k in keys:
         change[1:] |= k[1:] != k[:-1]
     starts = np.flatnonzero(change)
-    ones = np.ones(n, dtype=np.int64)
-    agg = {
-        "n_turns": np.add.reduceat(ones, starts),
-        "n_user_turns": np.add.reduceat(cols.is_user.astype(np.int64), starts),
-        "n_tool_turns": np.add.reduceat(cols.is_tool.astype(np.int64), starts),
-        "n_chars": np.add.reduceat(cols.n_chars, starts),
-        "min_ts": np.minimum.reduceat(cols.ts, starts),
-        "max_ts": np.maximum.reduceat(cols.ts, starts),
-        "first_turn_idx": cols.turn[starts],
-        "last_turn_idx": np.maximum.reduceat(cols.turn, starts),
-    }
-    return starts, agg
+    return starts, {name: _RUN_AGGS[name](cols, starts) for name in names}
 
 
 def _conv_last(values: np.ndarray, cols: Cols) -> np.ndarray:
@@ -293,9 +295,8 @@ def _keyed_tumbling(
 
 
 def _tumbling_runs(cols: Cols, bucket: np.ndarray):
-    starts, agg = _group_agg([bucket], cols)
-    counts = _TUMBLING_EMPTY.column_names[2:]
-    return cols.codes[starts], bucket[starts], {c: agg[c] for c in counts}
+    starts, agg = _group_agg([bucket], cols, _TUMBLING_EMPTY.column_names[2:])
+    return cols.codes[starts], bucket[starts], agg
 
 
 def tumbling_kernel(
@@ -1006,7 +1007,7 @@ def session_with_join_kernel(
                 )
     sess = _assign_sessions(cols, gap_us)
     # --- session aggregate over contiguous (conv, session) runs
-    starts, agg = _group_agg([sess], cols)
+    starts, agg = _group_agg([sess], cols, _SESSION_EMPTY.column_names[2:7] + ["min_ts", "max_ts"])
     # --- join pairs
     last_user = _last_user_turn(cols, sess)
     is_pair = cols.is_tool & (last_user >= 0)

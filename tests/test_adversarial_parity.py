@@ -29,21 +29,14 @@ ADVERSARIAL_QUERIES = [
     "doc_stats",
     "bpe_token_counts",
     "langid_markers",
-    "doc_fingerprint",  # library-only (outside the driver's 50-slot window)
     "doc_fingerprint_rolling",
-    "dedup_exact",
     "simhash",
     "minhash_dedup",
     "ngram_jaccard",
-    "text_normalize",
-    "sample_balanced",
     "pack_sequences",
     "pack_nobreak",
     "len_quantiles",
-    "curation_pipeline",
     "top_tokens",
-    "cms_tokens",  # library-only (count-min cells, HUGEINT double hashing)
-    "tfidf_top_terms",  # library-only (integer-exact tf*N//df scores)
     "pii_scrub",  # RE2 mask, byte-exact scrubbed text
     "repetition_stats",  # Gopher repetition rules
     "decontamination",  # broadcast shingle-set membership
@@ -51,12 +44,7 @@ ADVERSARIAL_QUERIES = [
     "mixture_sample",  # token-budget language mixing
     "substring_dedup",  # cross-doc duplicated-span fractions
     "quality_classify",  # hashed linear quality model
-    "domain_filter",  # library-only (source-mean-length survival rule)
     "stratified_split",  # FNV-bucket train/val/test split
-    "line_dedup",  # library-only (keep-first non-overlapping chunk dedup)
-    "inverted_index",  # library-only (postings build: df/tf/extrema/set check)
-    "vocab_coverage",  # library-only (nucleus vocab size at 50/90/99% mass)
-    "curriculum_shards",  # library-only (exact global quality rank -> shards)
 ]
 
 
@@ -140,11 +128,9 @@ def test_adversarial_documents_parity(ray_session, tmp_path, qname):
 
 
 EMBEDDING_QUERIES = [
-    "embedding_norms",     # library-only (integer-scaled norms)
     "knn_bruteforce",
     "knn_lsh",
     "knn_ivf",             # integer-exact sampled coarse quantizer
-    "centroid_by_label",   # library-only (per-label integer centroids)
     # embedding_neardup / _lsh: see test_adversarial_embeddings_cosine_pairs
     # (identical vectors put cos exactly on the 1/1000 floor grid, where
     # numpy and DuckDB float paths legitimately differ by one ulp)

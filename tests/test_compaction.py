@@ -403,3 +403,27 @@ def test_compaction_segments_at_multiple_consumer_cursors(ray_session, tmp_path,
                                       for col in pa.concat_tables(
                                           [t for t in (first, rest) if t is not None]).columns])))
         assert got == full, follower.name
+
+
+def test_corrupt_consumer_cursor_fails_loudly(tmp_path):
+    """A torn or garbage cursor file is refused, naming the file, by a new
+    follower and by the sink's consumer registry: read as "no cursor" it
+    would re-deliver every committed row and drop the consumer's
+    compaction boundary. A missing file is still a new consumer."""
+    import pyarrow as pa
+
+    from dstream_ray.sinks.parquet_sink import ExactlyOnceParquetSink, SinkFollower
+
+    sink = ExactlyOnceParquetSink(str(tmp_path / "out"))
+    for e in range(3):
+        final = sink.write_staged(pa.table({"x": [e]}), "events", 0, e, e)
+        ExactlyOnceParquetSink.promote([final])
+    follower = SinkFollower(sink, "events", "reader")
+    assert follower.cursor == -1  # no cursor file yet: a new consumer
+    assert follower.poll().num_rows == 3 and follower.cursor == 2
+    with open(follower.path, "w") as fh:
+        fh.write('{"events": 2')  # torn write
+    with pytest.raises(ValueError, match="reader.json"):
+        SinkFollower(sink, "events", "reader")
+    with pytest.raises(ValueError, match="reader.json"):
+        sink.consumers()

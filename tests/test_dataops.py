@@ -298,17 +298,6 @@ def test_pack_sequences_matches_naive_token_stream(ray_session, tmp_path):
     assert (per_bin.iloc[:-1] == ctx).all()
 
 
-def test_sample_balanced_deterministic_and_balanced(ray_session):
-    from dstream_ray.pipelines.dataops import q_sample_balanced
-
-    a = q_sample_balanced("/root/testdata/sf0.001").sort_values("doc_id")
-    b = q_sample_balanced("/root/testdata/sf0.001").sort_values("doc_id")
-    assert a["doc_id"].tolist() == b["doc_id"].tolist()  # no RNG state
-    sizes = a.groupby("lang").size()
-    # strata thinned toward the smallest; hash gate keeps each within ~35%
-    assert sizes.max() <= 1.35 * sizes.min(), sizes
-
-
 def test_distributed_components_match_union_find(ray_session):
     """Min-label propagation over Ray Data == driver union-find on a random
     graph with chains (multi-hop label flow), rings, and singletons."""
@@ -380,25 +369,6 @@ def test_knn_lsh_recall_vs_bruteforce(ray_session, sf_tiny):
     assert len(merged) > 0  # finds at least some true neighbors
 
 
-def test_dedup_exact_with_actual_duplicates(ray_session):
-    """End-to-end exact dedup on a table WITH duplicates (testdata has none)."""
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from dstream_ray.pipelines import dataops
-
-    texts = ["aaa", "bbb", "aaa", "ccc", "bbb", "aaa", ""]
-    tbl = pa.table({"doc_id": pa.array(np.arange(7, dtype=np.int64)), "text": pa.array(texts)})
-    with tempfile.TemporaryDirectory() as td:
-        pq.write_table(tbl, f"{td}/documents.parquet")
-        out = (
-            dataops.q_dedup_exact(td).sort_values("doc_id").reset_index(drop=True)
-        )
-    assert out["doc_id"].tolist() == [0, 1, 3, 6]
-    assert out["n_copies"].tolist() == [3, 2, 1, 1]
-
-
 def test_hll_accuracy_and_merge():
     from dstream_ray.stages.sketches import HLL
 
@@ -416,40 +386,6 @@ def test_hll_accuracy_and_merge():
     for x in hs[1:]:
         merged = merged.merge(x)
     assert merged.estimate() == h.estimate()
-
-
-def test_hll_pipeline_per_event_type(ray_session):
-    """Distinct users per event_type via the mergeable-sketch pattern,
-    within 5% of the exact answer."""
-    import duckdb
-
-    from dstream_ray.pipelines.dataops import q_hll_distinct_users
-
-    got = q_hll_distinct_users("/root/testdata/sf0.001")
-    con = duckdb.connect()
-    exact = con.execute(
-        "SELECT event_type AS key, count(DISTINCT user_id) AS n FROM "
-        "read_parquet('/root/testdata/sf0.001/events.parquet') GROUP BY 1"
-    ).fetch_df()
-    m = got.merge(exact, on="key")
-    assert len(m) == len(exact)
-    rel_err = (m["approx_distinct"] - m["n"]).abs() / m["n"]
-    assert (rel_err < 0.05).all(), m
-
-
-@pytest.mark.parametrize("quantizer", ["head", "distributed"])
-def test_knn_ivf_recall(ray_session, sf_tiny, quantizer):
-    """IVF with n_probe=4/16 lists should recover a solid fraction of the
-    brute-force top-10, with either quantizer trainer (bounded head sample
-    or the distributed one-pass-per-iteration Lloyd)."""
-    from dstream_ray.pipelines.dataops import q_knn_bruteforce, q_knn_ivf
-
-    bf = q_knn_bruteforce(sf_tiny)
-    ivf = q_knn_ivf(sf_tiny, quantizer=quantizer)
-    assert (ivf.groupby("query_id").size() == 10).all()
-    merged = ivf.merge(bf, on=["query_id", "neighbor_id"], how="inner")
-    recall = len(merged) / len(bf)
-    assert recall >= 0.3, f"ivf recall too low: {recall}"
 
 
 def test_cep_pattern_kernel():
@@ -538,20 +474,6 @@ def test_cep_empty_and_nonascii_roles_skip_position():
     stream_out, _ = cep_kernel(t, {}, pattern="ua*tt", flush=True)
     s = stream_out.to_pandas().set_index("conv_id")["n_matches"]
     assert s["c1"] == 1 and s["c2"] == 0
-
-
-def test_knn_ivf_auto_quantizer_routes_by_scale(ray_session, sf_tiny, monkeypatch):
-    """quantizer='auto' (the default) trains on the head sample below the
-    row threshold and switches to the distributed trainer above it."""
-    from dstream_ray.pipelines import dataops
-
-    small = dataops.q_knn_ivf(sf_tiny)  # auto -> head at test scale
-    head = dataops.q_knn_ivf(sf_tiny, quantizer="head")
-    pd.testing.assert_frame_equal(small, head)
-    monkeypatch.setattr(dataops, "IVF_DISTRIBUTED_QUANTIZER_MIN_ROWS", 1)
-    big = dataops.q_knn_ivf(sf_tiny)  # auto -> distributed
-    dist = dataops.q_knn_ivf(sf_tiny, quantizer="distributed")
-    pd.testing.assert_frame_equal(big, dist)
 
 
 def test_pack_nobreak_matches_naive_greedy(ray_session, tmp_path):
@@ -662,118 +584,6 @@ def test_cep_within_infinite_budget_equals_unconstrained():
         base = cep_pattern_kernel(tbl, pattern=pattern).to_pandas()
         inf = cep_pattern_kernel(tbl, pattern=pattern, within_s=10**9).to_pandas()
         assert base["n_matches"].tolist() == inf["n_matches"].tolist(), pattern
-
-
-def test_cms_overestimate_and_merge():
-    """Count-min invariants: estimates never undercount; splitting the
-    stream into partials and summing cells equals one pass; the error of
-    any point query is bounded by e/width * total_tokens (Markov bound
-    holds with margin on random text)."""
-    import pyarrow as pa
-
-    from dstream_ray.stages.sketches import (
-        CMS_DEPTH,
-        CMS_WIDTH,
-        cms_cells_batch,
-        cms_estimate,
-    )
-
-    rng = np.random.default_rng(7)
-    vocab = [f"tok{i}" for i in range(3000)]
-    # zipf-ish frequencies
-    weights = 1.0 / np.arange(1, len(vocab) + 1)
-    weights /= weights.sum()
-    docs = [
-        " ".join(rng.choice(vocab, size=rng.integers(3, 40), p=weights))
-        for _ in range(2000)
-    ]
-    texts = pa.array(docs)
-    dense = np.zeros(CMS_DEPTH * CMS_WIDTH, dtype=np.int64)
-    cells, counts = cms_cells_batch(texts)
-    dense[cells] += counts
-
-    # merge of split partials == single pass
-    dense2 = np.zeros_like(dense)
-    for lo in range(0, len(docs), 257):
-        c, n = cms_cells_batch(pa.array(docs[lo : lo + 257]))
-        dense2[c] += n
-    assert (dense == dense2).all()
-
-    from collections import Counter
-
-    truth = Counter(t for d in docs for t in d.split())
-    total = sum(truth.values())
-    probe = vocab[:50] + vocab[1000:1020]
-    est = cms_estimate(dense, probe)
-    exact = np.array([truth.get(t, 0) for t in probe])
-    assert (est >= exact).all()  # one-sided
-    assert (est - exact).max() <= np.ceil(np.e / CMS_WIDTH * total)
-
-
-def test_cms_tokens_query(ray_session, sf_tiny):
-    """The distributed sketch equals a driver-side single pass over the
-    same documents, and its point estimates cover the exact top tokens."""
-    import pyarrow.parquet as pq
-
-    from dstream_ray.pipelines import dataops
-
-    sf_dir = sf_tiny
-
-    from dstream_ray.stages.sketches import (
-        CMS_DEPTH,
-        CMS_WIDTH,
-        cms_cells_batch,
-        cms_estimate,
-    )
-
-    out = dataops.q_cms_tokens(sf_dir)
-    tbl = pq.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
-    cells, counts = cms_cells_batch(tbl["text"])
-    assert out["cell"].tolist() == cells.tolist()
-    assert out["cnt"].tolist() == counts.tolist()
-    dense = np.zeros(CMS_DEPTH * CMS_WIDTH, dtype=np.int64)
-    dense[cells] = counts
-    top = dataops.q_top_tokens(sf_dir)
-    est = cms_estimate(dense, top["token"].tolist())
-    assert (est >= top["cnt"].to_numpy()).all()
-
-
-def test_tfidf_broadcast_and_join_paths_equal(ray_session, sf_tiny):
-    """The shuffle-free broadcast path and the big-vocabulary hash-join
-    path of q_tfidf_top_terms emit identical top-term tables."""
-    import pandas as pd
-
-    from dstream_ray.pipelines.dataops import q_tfidf_top_terms
-
-    a = q_tfidf_top_terms(sf_tiny, mode="broadcast")
-    b = q_tfidf_top_terms(sf_tiny, mode="join")
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
-    assert (a.groupby("doc_id").size() <= 3).all()
-
-
-def test_knn_classify_matches_numpy_reference(ray_session, sf_tiny):
-    """Majority-label classification over the exact top-10 equals a direct
-    numpy computation (cosine ranks with the same nid tie-break)."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from dstream_ray.pipelines.dataops import KNN_K, q_knn_classify
-
-    got = q_knn_classify(sf_tiny)
-    t = pq.read_table(f"{sf_tiny}/embeddings.parquet").to_pandas()
-    V = np.stack(t["embedding"].to_numpy()).astype(np.float64)
-    V = V / np.linalg.norm(V, axis=1, keepdims=True)
-    labels = t["label"].to_numpy()
-    for qid in range(8):
-        cos = V @ V[qid]
-        cos[qid] = -np.inf
-        order = np.lexsort((np.arange(len(cos)), -cos))[:KNN_K]
-        votes = {}
-        for nid in order:
-            votes[labels[nid]] = votes.get(labels[nid], 0) + 1
-        best = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        row = got[got["query_id"] == qid].iloc[0]
-        assert (row["label"], row["n_votes"]) == (best[0], best[1]), qid
 
 
 def test_raw_rgb_roundtrip_and_real_decode_features():
@@ -970,10 +780,7 @@ def test_decontamination_flags_benchmark_overlap(ray_session, sf_tiny):
 
 
 def test_curation_v2_excludes_contaminated(ray_session, sf_tiny):
-    """Every curation_v2 survivor is uncontaminated per q_decontamination.
-    (No row-count relation to curation_pipeline is asserted: the balanced
-    sampler re-derives its per-lang thresholds on the post-decon pool, so
-    v2 can legitimately emit more OR fewer rows than v1.)"""
+    """Every curation_v2 survivor is uncontaminated per q_decontamination."""
     import dstream_ray.pipelines.dataops as d
 
     v2 = d.q_curation_v2(sf_tiny)
@@ -1058,162 +865,6 @@ def test_substring_dedup_join_equals_broadcast(ray_session, sf_tiny):
     pd.testing.assert_frame_equal(a, b[a.columns])
 
 
-def test_line_dedup_known_structure(ray_session, tmp_path):
-    """Keep-FIRST chunk dedup on a deterministic corpus (w=2 for legible
-    chunks): cross-doc repeats drop, WITHIN-doc repeats after the first
-    drop too (unlike substring_dedup's scoring), tail chunks hash over
-    what's present, empty docs emit zero chunks."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-
-    texts = [
-        "a b c d",    # chunks [ab, cd] — both first: kept 2/2
-        "a b x y",    # [ab, xy] — ab seen in doc0: kept 1/2
-        "c d c d",    # [cd, cd] — both occurrences of doc0's cd: kept 0/2
-        "e",          # tail chunk [e]: kept 1/1
-        "",           # no chunks
-        "z w z w",    # [zw, zw] — within-doc keep-first: kept 1/2
-    ]
-    tbl = pa.table({
-        "doc_id": pa.array(range(len(texts)), type=pa.int64()),
-        "text": pa.array(texts),
-        "lang": pa.array(["en"] * len(texts)),
-        "source": pa.array(["s"] * len(texts)),
-        "n_chars": pa.array([len(t) for t in texts], type=pa.int64()),
-    })
-    pq.write_table(tbl, str(tmp_path / "documents.parquet"))
-    out = d.q_line_dedup(str(tmp_path), w=2).to_pandas().set_index("doc_id")
-    assert out.loc[0, "n_chunks"] == 2 and out.loc[0, "n_kept"] == 2
-    assert out.loc[1, "n_chunks"] == 2 and out.loc[1, "n_kept"] == 1
-    assert out.loc[2, "n_chunks"] == 2 and out.loc[2, "n_kept"] == 0
-    assert out.loc[2, "kept_lo_sum"] == 0 and out.loc[2, "kept_hi_sum"] == 0
-    assert out.loc[3, "n_chunks"] == 1 and out.loc[3, "n_kept"] == 1
-    assert out.loc[4, "n_chunks"] == 0 and out.loc[4, "n_kept"] == 0
-    assert out.loc[5, "n_chunks"] == 2 and out.loc[5, "n_kept"] == 1
-
-
-def test_line_dedup_join_equals_broadcast(ray_session, sf_tiny):
-    """The hash-join scale path and the broadcast path are pinned equal."""
-    import pandas as pd
-
-    import dstream_ray.pipelines.dataops as d
-
-    a = (d.q_line_dedup(sf_tiny, mode="broadcast").to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    b = (d.q_line_dedup(sf_tiny, mode="join").to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b[a.columns])
-
-
-def test_inverted_index_known_structure(ray_session, tmp_path):
-    """Postings build on a deterministic corpus: df counts DISTINCT docs,
-    tf counts occurrences, extrema and the order-free posting-set check
-    pin the exact doc set; empty/whitespace docs contribute nothing."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-
-    texts = ["a b a", "b c", "   ", "a"]
-    tbl = pa.table({
-        "doc_id": pa.array([10, 11, 12, 13], type=pa.int64()),
-        "text": pa.array(texts),
-        "lang": pa.array(["en"] * 4),
-        "source": pa.array(["s"] * 4),
-        "n_chars": pa.array([len(t) for t in texts], type=pa.int64()),
-    })
-    pq.write_table(tbl, str(tmp_path / "documents.parquet"))
-    out = (d.q_inverted_index(str(tmp_path)).to_pandas()
-           .set_index("token").sort_index())
-    assert list(out.index) == ["a", "b", "c"]
-    assert out.loc["a", "df"] == 2 and out.loc["a", "tf"] == 3
-    assert out.loc["a", "min_doc"] == 10 and out.loc["a", "max_doc"] == 13
-    assert out.loc["a", "posting_lo_sum"] == 23  # 10 + 13
-    assert out.loc["b", "df"] == 2 and out.loc["b", "tf"] == 2
-    assert out.loc["c", "df"] == 1 and out.loc["c", "min_doc"] == 11
-    assert (out["posting_hi_sum"] == 0).all()  # doc_ids < 2^32
-    # the postings table itself (the index) has one row per (token, doc)
-    post = d.build_inverted_index(str(tmp_path)).to_pandas()
-    assert len(post) == 5  # (a,10) (b,10) (b,11) (c,11) (a,13)
-    assert post.set_index(["token", "doc_id"]).loc[("a", 10), "tf"] == 2
-
-
-def test_curriculum_shards_structure(ray_session, sf_tiny):
-    """The distributed rank is an exact permutation of [0, n): shards are
-    contiguous rank ranges of near-equal size, monotone in score, and
-    agree with a local argsort of the same scores."""
-    import numpy as np
-
-    import dstream_ray.pipelines.dataops as d
-
-    out = d.q_curriculum_shards(sf_tiny).sort_values("rank").reset_index(drop=True)
-    n = len(out)
-    assert out["rank"].tolist() == list(range(n))
-    # rank order == lexicographic (score, doc_id) order
-    pairs = list(zip(out["score"], out["doc_id"]))
-    assert pairs == sorted(pairs)
-    # shards are balanced: size in {floor(n/S), ceil(n/S)} and monotone
-    sizes = out.groupby("shard").size()
-    assert set(sizes.index) == set(range(d.CURRICULUM_SHARDS))
-    assert sizes.min() >= n // d.CURRICULUM_SHARDS
-    assert sizes.max() <= -(-n // d.CURRICULUM_SHARDS)
-    assert (out["shard"].diff().fillna(0) >= 0).all()
-
-
-def test_vocab_coverage_known_structure(ray_session, tmp_path):
-    """Hand-checked nucleus coverage: counts a=5 b=3 c=1 d=1 (total 10) →
-    cover_50 needs {a} (5 >= 5), cover_90 needs {a,b,c} (9 >= 9),
-    cover_99 needs all four (10 >= 9.9 ⇔ 1000 >= 990)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-
-    texts = ["a a a b b", "a a b c", "d"]
-    tbl = pa.table({
-        "doc_id": pa.array([0, 1, 2], type=pa.int64()),
-        "text": pa.array(texts),
-        "lang": pa.array(["en"] * 3),
-        "source": pa.array(["s"] * 3),
-        "n_chars": pa.array([len(t) for t in texts], type=pa.int64()),
-    })
-    pq.write_table(tbl, str(tmp_path / "documents.parquet"))
-    out = d.q_vocab_coverage(str(tmp_path)).iloc[0]
-    assert out["total_tokens"] == 10 and out["vocab_size"] == 4
-    assert out["cover_50"] == 1 and out["cover_90"] == 3 and out["cover_99"] == 4
-
-
-def test_chunk_hashes_batch_matches_scalar(ray_session):
-    """Non-overlapping chunk hashes agree with a scalar Horner reference on
-    every doc shape (empty, whitespace, shorter than w, exact multiple,
-    ragged tail)."""
-    import numpy as np
-
-    from dstream_ray.stages import dedup
-
-    rng = np.random.default_rng(7)
-    vocab = ["a", "bb", "ccc", "tok", "x1", "yz"]
-    docs = ["", "   ", "a", "a b", " ".join(rng.choice(vocab, 10)),
-            " ".join(rng.choice(vocab, 23)), " ".join(rng.choice(vocab, 40))]
-    for w in (2, 3, 10):
-        flat, intra, offs = dedup.chunk_hashes_batch(docs, w)
-        for i, doc in enumerate(docs):
-            th = dedup._token_hashes(doc)
-            exp = []
-            for s in range(0, len(th), w):
-                seg = th[s:s + w]
-                acc = seg[0]
-                with np.errstate(over="ignore"):
-                    for x in seg[1:]:
-                        acc = acc * dedup.SHINGLE_MIX + x
-                exp.append(acc)
-            got = flat[offs[i]:offs[i + 1]]
-            assert got.tolist() == exp, (w, i, doc)
-            assert intra[offs[i]:offs[i + 1]].tolist() == list(range(len(exp)))
-
-
 def test_shingle_all_batch_matches_scalar(ray_session):
     """Position-order non-unique shingles agree with the scalar reference
     and unique-reduce to shingle_sets_batch on every doc shape."""
@@ -1273,26 +924,6 @@ def test_quality_classify_matches_reference(ray_session, sf_tiny):
             assert row["avg_weight_x1000"] == (
                 1000 * (int(w.sum()) + half * len(th))
             ) // len(th) - 1000 * half
-
-
-def test_domain_filter_rule(ray_session, sf_tiny):
-    """Surviving sources are exactly those with permille mean length >= the
-    corpus mean; surviving docs pass through unchanged."""
-    import pyarrow.parquet as pq
-
-    import dstream_ray.pipelines.dataops as d
-
-    out = d.q_domain_filter(sf_tiny).to_pandas()
-    t = pq.read_table(
-        f"{sf_tiny}/documents.parquet", columns=["doc_id", "source", "n_chars"]
-    ).to_pandas()
-    gm = (1000 * int(t["n_chars"].sum())) // len(t)
-    stats = t.groupby("source").agg(n=("doc_id", "size"), tc=("n_chars", "sum"))
-    kept = set(stats.index[(1000 * stats["tc"]) // stats["n"] >= gm])
-    assert set(out["source"]) == {s for s in kept if s in set(t["source"])}
-    want = t[t["source"].isin(kept)]
-    assert len(out) == len(want)
-    assert set(out["doc_id"]) == set(want["doc_id"])
 
 
 def test_semantic_dedup_matches_bruteforce_reference(ray_session, sf_tiny):

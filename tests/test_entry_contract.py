@@ -73,7 +73,9 @@ def test_entry_smoke(ray_session):
 def test_oracles_and_queries_are_one_to_one():
     """ORACLE_SQL holds exactly the oracle-backed queries() entries plus the
     parity tool's library-only queries, and no name is in both lists: a
-    query deleted without its oracle (or vice versa) fails here. Ray-free."""
+    query deleted without its oracle (or vice versa) fails here. Every
+    top-level ``q_*`` function of the two query modules is on one of the
+    lists, so a query reachable only from tests fails too. Ray-free."""
     from dstream_ray.pipelines.oracles import ORACLE_SQL
     from tools.parity_check import LIBRARY_QUERIES, library_query
 
@@ -81,6 +83,15 @@ def test_oracles_and_queries_are_one_to_one():
     assert len(set(LIBRARY_QUERIES) | set(qs)) == len(LIBRARY_QUERIES) + len(qs)
     assert set(ORACLE_SQL) == {n for n in qs if n in ORACLE_SQL} | set(LIBRARY_QUERIES)
     assert all(callable(library_query(n)) for n in LIBRARY_QUERIES)
+    pipelines = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "dstream_ray", "pipelines")
+    defined = set()
+    for mod in ("dataops", "queries"):
+        with open(os.path.join(pipelines, f"{mod}.py"), encoding="utf-8") as f:
+            defined |= {n.name for n in ast.parse(f.read()).body
+                        if isinstance(n, ast.FunctionDef) and n.name.startswith("q_")}
+    listed = {f.__name__ for f in qs.values()} | {f"q_{n}" for n in LIBRARY_QUERIES}
+    assert defined <= listed, f"q_* functions on neither list: {sorted(defined - listed)}"
 
 
 def _top_level_names(tree: ast.Module):

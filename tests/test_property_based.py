@@ -173,20 +173,6 @@ def test_relay_replay_safety(data, replay_from):
     assert out.num_rows == 0
 
 
-def test_counter_demo_source(ray_session):
-    from dstream_ray.sources.counter import counter_as_transcripts, counter_source
-
-    ds = counter_source(max_count=50, interval_ms=100)
-    df = ds.to_pandas().sort_values("value").reset_index(drop=True)
-    assert list(df["value"]) == list(range(50))
-    assert (df["timestamp"].diff().dropna().dt.total_seconds() == 0.1).all()
-
-    feed = counter_as_transcripts(max_count=30)
-    out, _ = tumbling_kernel(to_residual_rows(feed), {}, width_s=10, flush=True)
-    assert out.num_rows > 0
-    assert out.to_pandas()["n_turns"].sum() == 30
-
-
 @settings(max_examples=25, deadline=None)
 @given(feeds(), st.integers(2, 64))
 def test_salted_sessionization_matches_plain(data, chunk_turns):

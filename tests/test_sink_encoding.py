@@ -165,3 +165,20 @@ def test_split_matches_int32_stable_sort(tmp_path, num_partitions):
     assert len(parts) == num_partitions
     for k, part in enumerate(parts):
         assert part.equals(t.take(order[pid[order] == k])), k
+
+
+def test_promote_fsyncs_each_directory_once(tmp_path, monkeypatch):
+    """Promote renames every staged file first, then fsyncs each distinct
+    directory once: N files in D directories cost D directory fsyncs."""
+    from dstream_ray.sinks import parquet_sink
+
+    synced = []
+    monkeypatch.setattr(parquet_sink, "fsync_dir", synced.append)
+    sink = ExactlyOnceParquetSink(str(tmp_path))
+    finals = [sink.write_staged(_table(10, e), op, part, e, e)
+              for op in ("events", "tumbling") for part in range(3) for e in range(4)]
+    ExactlyOnceParquetSink.promote(finals)
+    dirs = {os.path.dirname(f) for f in finals}
+    assert len(finals) == 24 and len(dirs) == 6
+    assert sorted(synced) == sorted(dirs)
+    assert all(os.path.exists(f) and not os.path.exists(f + ".tmp") for f in finals)

@@ -23,21 +23,14 @@ TABLES = [
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Oracle-checked queries outside the driver's queries() surface: each is
-# ``q_<name>`` in pipelines/queries.py or pipelines/dataops.py and has an
-# ORACLE_SQL entry. ORACLE_SQL holds exactly these plus the oracle-backed
-# queries() entries (pinned by tests/test_entry_contract.py).
+# ``q_<name>`` in pipelines/queries.py and has an ORACLE_SQL entry.
+# ORACLE_SQL holds exactly these plus the queries() entries (pinned by
+# tests/test_entry_contract.py).
 LIBRARY_QUERIES = (
-    # batch-surface queries whose engine twins or compositions are gated
+    # batch-surface queries whose engine twins are gated
     "transcripts_feed",
     "streaming_tumbling",
     "streaming_session",
-    "doc_fingerprint",
-    "embedding_norms",
-    "text_normalize",
-    "dedup_exact",
-    "centroid_by_label",
-    "sample_balanced",
-    "curation_pipeline",
     # engine operators checked through their own committed sinks
     "streaming_interval_join",
     "streaming_distinct",
@@ -52,23 +45,14 @@ LIBRARY_QUERIES = (
     "streaming_events_compacted",
     "streaming_tumbling_compacted",
     "streaming_events_follower",
-    # training-data and retrieval operators
-    "cms_tokens",
-    "tfidf_top_terms",
-    "knn_classify",
-    "domain_filter",
-    "line_dedup",
-    "inverted_index",
-    "vocab_coverage",
-    "curriculum_shards",
 )
 
 
 def library_query(name: str):
     """The ``q_<name>`` function of a LIBRARY_QUERIES entry."""
-    from dstream_ray.pipelines import dataops, queries
+    from dstream_ray.pipelines import queries
 
-    return getattr(queries, f"q_{name}", None) or getattr(dataops, f"q_{name}")
+    return getattr(queries, f"q_{name}")
 
 
 def normalize(df: pd.DataFrame) -> pd.DataFrame:

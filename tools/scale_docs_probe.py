@@ -21,7 +21,6 @@ import time
 
 
 def build_replica(sf_dir: str, out_dir: str, r: int) -> None:
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -80,8 +79,7 @@ def main() -> None:
     probes = {
         "doc_stats": lambda sf: _n(d.q_doc_stats(sf)),  # map-only
         "mixture_sample": lambda sf: _n(d.q_mixture_sample(sf)),  # bounded groupby
-        "dedup_exact": lambda sf: _n(d.q_dedup_exact(sf)),  # hash groupby
-        "curation_v2": lambda sf: _n(d.q_curation_v2(sf)),  # full composition
+        "curation_v2": lambda sf: _n(d.q_curation_v2(sf)),  # hash groupby; full composition
         "substring_dedup": lambda sf: _n(d.q_substring_dedup(sf)),  # shingle groupby
     }
     out = {"replication": r, "base_rows": None, "queries": {}}
